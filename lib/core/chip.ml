@@ -147,8 +147,8 @@ and thread = { chip : t; tid : int; t_ptid : int }
    at [add_thread] and shared by every [find_thread]/[thread_list]. *)
 
 (* The thread's preallocated closures, one heap record per thread (a
-   single cache line) instead of four parallel pointer arrays.  Only
-   [f_resume] mutates per park round; the rest are fixed at
+   single cache line) instead of parallel pointer arrays.  Only
+   [f_proc] mutates per park round; the rest are fixed at
    [add_thread].
 
    In-flight wake delivery: the scheduled event is the preallocated
@@ -161,9 +161,8 @@ and thread = { chip : t; tid : int; t_ptid : int }
    the first delivery's latency window — falls back to a capturing
    closure (see [monitor_wake]). *)
 and fns = {
-  mutable f_resume : int -> unit;  (* parked body's continuation *)
+  mutable f_proc : Sim.proc;  (* process parked on the wake cell, or [Sim.no_proc] *)
   f_wake : Memory.addr -> unit;  (* preallocated monitor waiter *)
-  f_register : (int -> unit) -> unit;  (* preallocated await hook *)
   f_deliver : unit -> unit;  (* preallocated wake-delivery event *)
   f_signal : unit Signal.t;  (* start/stop resume signal *)
 }
@@ -172,13 +171,10 @@ and fns = {
    stream; caught in [run_body], never escapes the chip. *)
 exception Crash_stop
 
-let dummy_resume : int -> unit = fun _ -> ()
-
 let dummy_fns =
   {
-    f_resume = dummy_resume;
+    f_proc = Sim.no_proc;
     f_wake = (fun _ -> ());
-    f_register = (fun _ -> ());
     f_deliver = (fun () -> ());
     f_signal = Signal.create ();
   }
@@ -355,6 +351,14 @@ let own_core th = th.chip.cores.(tcore th.chip th.tid)
 
 let pin_state th = State_store.pin (own_core th).store ~ptid:th.t_ptid
 
+(* The thread's SMT weight as passed to [Smt_core.set_runnable] on every
+   park and wake.  Unit weight — every thread not given one at
+   [add_thread] — comes back as the literal, a static constant, so the
+   call passes it without boxing a fresh float. *)
+let[@inline] smt_weight c i =
+  let w = c.t_weight.(i) in
+  if w = 1.0 then 1.0 else w
+
 let make_runnable th ~reason =
   let c = th.chip in
   let i = th.tid in
@@ -363,7 +367,7 @@ let make_runnable th ~reason =
   let from_ = m land 3 in
   c.hot.(b) <- (m land lnot 3) lor st_runnable;
   Smt_core.set_runnable c.cores.((m lsr 2) land core_mask).exec_unit ~ptid:th.t_ptid
-    ~weight:c.t_weight.(i) true;
+    ~weight:(smt_weight c i) true;
   if c.probe_on then
     emit c
       (Probe.State_change
@@ -377,7 +381,7 @@ let make_not_runnable th state ~reason =
   let from_ = m land 3 in
   c.hot.(b) <- (m land lnot 3) lor state_code state;
   Smt_core.set_runnable c.cores.((m lsr 2) land core_mask).exec_unit ~ptid:th.t_ptid
-    ~weight:c.t_weight.(i) false;
+    ~weight:(smt_weight c i) false;
   if c.probe_on then
     emit c
       (Probe.State_change
@@ -423,28 +427,37 @@ let exec_int th ?kind cycles = exec th ?kind cycles
 
 (* --- wakeup machinery -------------------------------------------------- *)
 
-(* Fill the thread's wake cell and resume the parked body (if it already
-   registered its continuation — it always has, the park round suspends
-   before any filler can run). *)
+(* Fill the thread's wake cell and wake the parked body (if it already
+   parked — it always has, the park round suspends before any filler can
+   run).  The value stays in the cell for [read_wake]. *)
 let fill_wake th v =
   let c = th.chip in
   let b = (th.tid * hot_stride) + o_cell in
   c.hot.(b) <- (c.hot.(b) land lnot 3) lor cell_full;
   c.hot.(b + (o_wval - o_cell)) <- v;
   let fns = c.t_fns.(th.tid) in
-  let r = fns.f_resume in
-  if r != dummy_resume then begin
-    fns.f_resume <- dummy_resume;
-    r v
+  let p = fns.f_proc in
+  if p != Sim.no_proc then begin
+    fns.f_proc <- Sim.no_proc;
+    Sim.wake c.sim p
   end
 [@@sl.zero_alloc]
 
-(* Block the calling body on its wake cell. *)
+(* Block the calling body on its wake cell; returns the cell's value. *)
 let read_wake th =
   let c = th.chip in
   let b = th.tid * hot_stride in
-  if c.hot.(b + o_cell) land 3 = cell_full then c.hot.(b + o_wval)
-  else Sim.await c.t_fns.(th.tid).f_register
+  if c.hot.(b + o_cell) land 3 <> cell_full then begin
+    c.t_fns.(th.tid).f_proc <- Sim.self c.sim;
+    Sim.park ()
+  end;
+  c.hot.(b + o_wval)
+[@@sl.zero_alloc]
+
+(* Probe emission for a consumed wake, kept out of the annotated wake
+   path: the event record is built only with a probe installed. *)
+let emit_woke c ptid addr ~immediate =
+  emit c (Probe.Mwait_woke { ptid; addr; immediate })
 
 (* The wake event scheduled by [monitor_wake], [latency] cycles after the
    triggering write.  [epoch] stamps the park round the waiter belonged
@@ -458,11 +471,11 @@ let deliver_wake th epoch addr =
     Monitor.relatch_slot c.monitor (tmslot c i) addr
   else begin
     make_runnable th ~reason:"mwait-wake";
-    if c.probe_on then
-      emit c (Probe.Mwait_woke { ptid = th.t_ptid; addr; immediate = false });
+    if c.probe_on then emit_woke c th.t_ptid addr ~immediate:false;
     Signal.emit c.t_fns.(i).f_signal ();
     fill_wake th addr
   end
+[@@sl.zero_alloc]
 
 (* The monitor waiter callback, preallocated per thread at [add_thread]:
    runs synchronously inside the triggering Memory.write. *)
@@ -601,11 +614,10 @@ let add_thread t ~core:core_id ~ptid ~mode ?(vector = false) ?(weight = 1.0) () 
   t.hot.(b + o_starts) <- 0;
   t.t_weight.(tid) <- weight;
   t.t_crashes.(tid) <- 0;
-  let rec fns =
+  let fns =
     {
-      f_resume = dummy_resume;
+      f_proc = Sim.no_proc;
       f_wake = (fun addr -> monitor_wake th addr);
-      f_register = (fun resume -> fns.f_resume <- resume);
       f_deliver =
         (fun () ->
           let b = tid * hot_stride in
@@ -630,157 +642,158 @@ let insn_monitor th addr =
   if th.chip.probe_on then
     emit th.chip (Probe.Monitor_armed { ptid = th.t_ptid; addr })
 
-(* Shared implementation of [mwait] (park until a monitored write) and
-   [mwait_for] (same, but resume empty-handed at an absolute [deadline],
-   umwait-style).  Returns [None] only on deadline expiry. *)
-let insn_mwait_generic th ~deadline =
+(* Sampled as a wake is consumed, parked or immediate: the thread dies
+   holding the event — the doorbell was delivered but nothing will
+   process it until the cold restart re-runs the body. *)
+let crash_on_wake th =
+  match th.chip.faults with
+  | None -> ()
+  | Some f -> (
+    match f.crash_at_wake ~ptid:th.t_ptid with
+    | None -> ()
+    | Some restart_after -> crash_self th ~kind:"crash-wake" ~restart_after)
+
+(* One park round of [mwait] / [mwait_for]: returns the wake code — the
+   written address ([>= 0]), or [wake_deadline] when [timed] and the
+   absolute [deadline] expired first.  A top-level function over plain
+   ints, so the untimed round allocates no closure and no option. *)
+let rec mwait_round th ~mslot ~timed ~deadline =
   let chip = th.chip in
   let i = th.tid in
-  let mslot = tmslot chip i in
-  exec_int th ~kind:Smt_core.Overhead chip.params.Params.monitor_arm_cycles;
-  (* Sampled as a wake is consumed, parked or immediate: the thread
-     dies holding the event — the doorbell was delivered but nothing
-     will process it until the cold restart re-runs the body. *)
-  let crash_on_wake () =
-    match chip.faults with
+  (* A new park round: bump the cell's epoch (state back to idle); stale
+     events from earlier rounds compare epochs and stand down (the
+     per-round Ivar used to go Full instead). *)
+  let b = i * hot_stride in
+  chip.hot.(b + o_cell) <- ((chip.hot.(b + o_cell) lsr 2) + 1) lsl 2;
+  let epoch = chip.hot.(b + o_cell) lsr 2 in
+  let a = Monitor.mwait_slot chip.monitor mslot ~wake:chip.t_fns.(i).f_wake in
+  if a >= 0 then begin
+    (* The write already happened; no sleep, only the match cost. *)
+    chip.hot.(b + o_wakeups) <- chip.hot.(b + o_wakeups) + 1;
+    exec_int th ~kind:Smt_core.Overhead chip.params.Params.monitor_wake_cycles;
+    if chip.probe_on then emit_woke chip th.t_ptid a ~immediate:true;
+    crash_on_wake th;
+    a
+  end
+  else begin
+    make_not_runnable th Ptid.Waiting ~reason:"mwait-park";
+    if chip.probe_on then emit chip (Probe.Mwait_parked { ptid = th.t_ptid });
+    State_store.touch (own_core th).store ~ptid:th.t_ptid;
+    chip.hot.(b + o_cell) <- (epoch lsl 2) lor cell_open;
+    (if timed then
+      let at =
+        let at = deadline in
+        let now = Sim.time chip.sim in
+        if at < now then now else at
+      in
+      Sim.schedule chip.sim ~at (fun () ->
+          (* Expire only if nothing else claimed the wait: no wake in
+             flight (cell still open this round) and no force-stop
+             (still Waiting). *)
+          if
+            chip.hot.((i * hot_stride) + o_cell) = (epoch lsl 2) lor cell_open
+            && tstate chip i = st_waiting
+          then begin
+            Monitor.cancel_wait_slot chip.monitor mslot;
+            fill_wake th wake_deadline;
+            (* The empty-handed resume still pays the restart latency. *)
+            let latency =
+              State_store.wake_transfer_cycles (own_core th).store ~ptid:th.t_ptid
+              + chip.params.Params.pipeline_start_cycles
+            in
+            Sim.schedule chip.sim
+              ~at:(Sim.time chip.sim + latency)
+              (fun () ->
+                (* A force-stop may land inside the restart window; it
+                   wins, and a later start re-runs the thread. *)
+                if tstate chip i = st_waiting then begin
+                  make_runnable th ~reason:"mwait-deadline";
+                  if chip.probe_on then
+                    emit chip (Probe.Mwait_timeout { ptid = th.t_ptid });
+                  Signal.emit chip.t_fns.(i).f_signal ()
+                end)
+          end));
+    (* Fault injection: a spurious wakeup fires the wake callback with
+       no write having happened; the woken code re-checks its predicate
+       and re-parks, as real code must. *)
+    (match chip.faults with
     | None -> ()
     | Some f -> (
-      match f.crash_at_wake ~ptid:th.t_ptid with
+      match f.spurious_wake_after ~ptid:th.t_ptid with
       | None -> ()
-      | Some restart_after -> crash_self th ~kind:"crash-wake" ~restart_after)
-  in
-  let rec park () =
-    (* A new park round: bump the cell's epoch (state back to idle); stale
-       events from earlier rounds compare epochs and stand down (the
-       per-round Ivar used to go Full instead). *)
-    let b = i * hot_stride in
-    chip.hot.(b + o_cell) <- ((chip.hot.(b + o_cell) lsr 2) + 1) lsl 2;
-    let epoch = chip.hot.(b + o_cell) lsr 2 in
-    let a = Monitor.mwait_slot chip.monitor mslot ~wake:chip.t_fns.(i).f_wake in
-    if a >= 0 then begin
-      (* The write already happened; no sleep, only the match cost. *)
-      chip.hot.(b + o_wakeups) <- chip.hot.(b + o_wakeups) + 1;
-      exec_int th ~kind:Smt_core.Overhead chip.params.Params.monitor_wake_cycles;
-      if chip.probe_on then
-        emit chip (Probe.Mwait_woke { ptid = th.t_ptid; addr = a; immediate = true });
-      crash_on_wake ();
-      Some a
-    end
-    else begin
-      make_not_runnable th Ptid.Waiting ~reason:"mwait-park";
-      if chip.probe_on then emit chip (Probe.Mwait_parked { ptid = th.t_ptid });
-      State_store.touch (own_core th).store ~ptid:th.t_ptid;
-      chip.hot.(b + o_cell) <- (epoch lsl 2) lor cell_open;
-      (match deadline with
+      | Some d ->
+        let key = { Monitor.core_id = tcore chip i; ptid = th.t_ptid } in
+        Sim.schedule chip.sim
+          ~at:(Sim.time chip.sim + d)
+          (fun () ->
+            match Monitor.take_waiter chip.monitor key with
+            | None -> ()  (* already woken, stopped or expired *)
+            | Some w ->
+              emit chip
+                (Probe.Fault_injected { ptid = th.t_ptid; kind = "mwait-spurious" });
+              let addr =
+                match Monitor.armed chip.monitor key with
+                | addr :: _ -> addr
+                | [] -> 0
+              in
+              w addr)));
+    (* Fault injection: a crash-stop lands mid-park.  The scheduled
+       event claims the wait only if nothing else already did (no wake
+       in flight, no force-stop, no deadline); the filled cell unwinds
+       the parked body, which run_body retires, and [crash_mark] has
+       already scheduled the cold restart. *)
+    (match chip.faults with
+    | None -> ()
+    | Some f -> (
+      match f.crash_park_after ~ptid:th.t_ptid with
       | None -> ()
-      | Some at ->
-        let at =
-          let now = Sim.time chip.sim in
-          if at < now then now else at
-        in
-        Sim.schedule chip.sim ~at (fun () ->
-            (* Expire only if nothing else claimed the wait: no wake in
-               flight (cell still open this round) and no force-stop
-               (still Waiting). *)
+      | Some (after, restart_after) ->
+        Sim.schedule chip.sim
+          ~at:(Sim.time chip.sim + max 0 after)
+          (fun () ->
             if
               chip.hot.((i * hot_stride) + o_cell) = (epoch lsl 2) lor cell_open
               && tstate chip i = st_waiting
             then begin
-              Monitor.cancel_wait_slot chip.monitor mslot;
-              fill_wake th wake_deadline;
-              (* The empty-handed resume still pays the restart latency. *)
-              let latency =
-                State_store.wake_transfer_cycles (own_core th).store ~ptid:th.t_ptid
-                + chip.params.Params.pipeline_start_cycles
-              in
-              Sim.schedule chip.sim
-                ~at:(Sim.time chip.sim + latency)
-                (fun () ->
-                  (* A force-stop may land inside the restart window; it
-                     wins, and a later start re-runs the thread. *)
-                  if tstate chip i = st_waiting then begin
-                    make_runnable th ~reason:"mwait-deadline";
-                    if chip.probe_on then
-                      emit chip (Probe.Mwait_timeout { ptid = th.t_ptid });
-                    Signal.emit chip.t_fns.(i).f_signal ()
-                  end)
-            end));
-      (* Fault injection: a spurious wakeup fires the wake callback with
-         no write having happened; the woken code re-checks its predicate
-         and re-parks, as real code must. *)
-      (match chip.faults with
-      | None -> ()
-      | Some f -> (
-        match f.spurious_wake_after ~ptid:th.t_ptid with
-        | None -> ()
-        | Some d ->
-          let key = { Monitor.core_id = tcore chip i; ptid = th.t_ptid } in
-          Sim.schedule chip.sim
-            ~at:(Sim.time chip.sim + d)
-            (fun () ->
-              match Monitor.take_waiter chip.monitor key with
-              | None -> ()  (* already woken, stopped or expired *)
-              | Some w ->
-                emit chip
-                  (Probe.Fault_injected { ptid = th.t_ptid; kind = "mwait-spurious" });
-                let addr =
-                  match Monitor.armed chip.monitor key with
-                  | addr :: _ -> addr
-                  | [] -> 0
-                in
-                w addr)));
-      (* Fault injection: a crash-stop lands mid-park.  The scheduled
-         event claims the wait only if nothing else already did (no wake
-         in flight, no force-stop, no deadline); the filled cell unwinds
-         the parked body, which run_body retires, and [crash_mark] has
-         already scheduled the cold restart. *)
-      (match chip.faults with
-      | None -> ()
-      | Some f -> (
-        match f.crash_park_after ~ptid:th.t_ptid with
-        | None -> ()
-        | Some (after, restart_after) ->
-          Sim.schedule chip.sim
-            ~at:(Sim.time chip.sim + max 0 after)
-            (fun () ->
-              if
-                chip.hot.((i * hot_stride) + o_cell) = (epoch lsl 2) lor cell_open
-                && tstate chip i = st_waiting
-              then begin
-                crash_mark th ~kind:"crash-park" ~restart_after;
-                fill_wake th wake_crash
-              end)));
-      let v = read_wake th in
-      let s = (i * hot_stride) + o_cell in
-      chip.hot.(s) <- chip.hot.(s) land lnot 3;
-      if v >= 0 then begin
-        crash_on_wake ();
-        Some v
-      end
-      else if v = wake_deadline then begin
-        wait_until_runnable th;
-        None
-      end
-      else if v = wake_stop then begin
-        (* Force-stopped while waiting; when restarted, wait again. *)
-        wait_until_runnable th;
-        park ()
-      end
-      else begin
-        (* Crash-stopped while parked: bookkeeping already ran in the
-           crash event; unwind the dead instruction stream. *)
-        raise Crash_stop
-      end
+              crash_mark th ~kind:"crash-park" ~restart_after;
+              fill_wake th wake_crash
+            end)));
+    let v = read_wake th in
+    let s = (i * hot_stride) + o_cell in
+    chip.hot.(s) <- chip.hot.(s) land lnot 3;
+    if v >= 0 then begin
+      crash_on_wake th;
+      v
     end
-  in
-  park ()
+    else if v = wake_deadline then begin
+      wait_until_runnable th;
+      v
+    end
+    else if v = wake_stop then begin
+      (* Force-stopped while waiting; when restarted, wait again. *)
+      wait_until_runnable th;
+      mwait_round th ~mslot ~timed ~deadline
+    end
+    else begin
+      (* Crash-stopped while parked: bookkeeping already ran in the
+         crash event; unwind the dead instruction stream. *)
+      raise Crash_stop
+    end
+  end
 
-let insn_mwait th =
-  match insn_mwait_generic th ~deadline:None with
-  | Some addr -> addr
-  | None -> assert false (* no deadline, so no Deadline outcome *)
+(* Shared implementation of [mwait] (park until a monitored write) and
+   [mwait_for] (same, but resume empty-handed at an absolute [deadline],
+   umwait-style). *)
+let insn_mwait_generic th ~timed ~deadline =
+  let mslot = tmslot th.chip th.tid in
+  exec_int th ~kind:Smt_core.Overhead th.chip.params.Params.monitor_arm_cycles;
+  mwait_round th ~mslot ~timed ~deadline
 
-let insn_mwait_for th ~deadline = insn_mwait_generic th ~deadline:(Some deadline)
+let insn_mwait th = insn_mwait_generic th ~timed:false ~deadline:0
+
+let insn_mwait_for th ~deadline =
+  let v = insn_mwait_generic th ~timed:true ~deadline in
+  if v = wake_deadline then None else Some v
 
 (* Fault the calling thread through its exception-descriptor pointer. *)
 let raise_exception th kind ~info =

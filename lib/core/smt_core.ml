@@ -47,28 +47,44 @@ type t = {
   (* In-flight jobs, dense by slot: [j_kind.(s) = -1] means no job. *)
   mutable j_kind : int array;
   mutable j_rem : float array;  (* cycles of service still owed *)
-  (* Completion cells replacing the per-[execute] Ivar: the executing
-     thread's await resume is parked in [j_resume] (via the preallocated
-     [j_register] closure) and called directly when the job finishes.
-     Sound because nothing yields between [execute]'s reschedule and its
-     await, so a completion can never fire before its reader registers. *)
-  mutable j_resume : (unit -> unit) array;
-  mutable j_register : ((unit -> unit) -> unit) array;
+  (* Completion slots replacing the per-[execute] Ivar: the executing
+     process parks itself ([Sim.park]) after recording its handle in
+     [j_proc], and the finishing [advance] wakes it directly.  Sound
+     because nothing yields between [execute]'s reschedule and its park,
+     so a completion can never fire before its process is parked. *)
+  mutable j_proc : Sim.proc array;  (* [Sim.no_proc] = nobody parked *)
   mutable njobs : int;
-  (* Shadow of the old [(ptid, job) Hashtbl]: same create size, same
-     replace/remove sequence on the same ptid keys, so its [fold] walks
-     finished jobs in exactly the bucket order the original engine's
-     completion fold used.  Load-bearing for byte-identity — the
-     relative completion-resume order of simultaneous completions
-     sequences every downstream event.  Values are the jobs' slots. *)
-  jorder : (int, int) Hashtbl.t;
+  (* What is left of the old [(ptid, job) Hashtbl]: the order its
+     [fold] visited jobs in, which fixes the relative completion order of
+     simultaneous completions and with it every downstream event.  That
+     fold walks buckets in index order, newest insert first within a
+     bucket (a resize keeps each bucket's relative order), so the order
+     follows from the job's bucket under the table's current size and
+     its insert stamp.  [j_stamp.(s)] is written by [execute] from
+     [next_stamp]; [jbuckets] replays the table's growth (created with
+     64 buckets, doubled on an insert that makes the size exceed twice
+     the bucket count, never shrunk; its size is [njobs]). *)
+  mutable j_stamp : int array;
+  mutable next_stamp : int;
+  mutable jbuckets : int;
   mutable rpos : int array;  (* slot -> index in rslot/rweight; -1 *)
   mutable rslot : int array;  (* runnable slots, compact prefix [0, rcount) *)
   mutable rweight : float array;  (* weight of rslot.(i) *)
   mutable rcount : int;
   mutable last_update : Sim.Time.t;
   mutable epoch : int;  (* stamps completion events; bumps invalidate them *)
-  busy : float ref;
+  (* Completion-event pool: event [i] is the preallocated thunk
+     [ev_fire.(i)], stamped with the epoch it was scheduled for in
+     [ev_epoch.(i)]; [ev_free] is a stack of the indices not in the
+     queue.  See [reschedule]. *)
+  mutable ev_epoch : int array;
+  mutable ev_fire : (unit -> unit) array;
+  mutable ev_free : int array;
+  mutable ev_nfree : int;
+  (* Float scalars live in a flat float array ([f_busy], [f_min_rem]):
+     a mutable float field of this mixed record, or a [float ref], would
+     box a fresh float on every store. *)
+  fl : float array;
   work : float array;  (* indexed by kind *)
   (* Billing, dense by slot; [border] shadows the old billing Hashtbl's
      insertion history (ptid keys) so [billed_threads] lists threads in
@@ -83,6 +99,10 @@ type t = {
   mutable srate : float array;
   mutable scapped : bool array;
   mutable scount : int;
+  (* Scratch for a multi-finish [advance]: the finished slots and their
+     legacy buckets, sorted together (see [resumes_before]). *)
+  mutable fslot : int array;
+  mutable fbucket : int array;
   (* Fast-path bookkeeping for [reschedule].  With every job runnable
      ([frozen = 0]) and every runnable weight exactly 1.0 ([nonunit = 0]),
      processor sharing degenerates to rate [min(1, width/n)] for all n
@@ -92,12 +112,19 @@ type t = {
      (the uncapped weight total of n unit weights is exactly [float n]). *)
   mutable frozen : int;  (* jobs whose thread is not currently runnable *)
   mutable nonunit : int;  (* runnable threads whose weight is not 1.0 *)
-  mutable min_rem : float;  (* least remaining over active jobs ... *)
+  (* [fl.(f_min_rem)]: least remaining over active jobs ... *)
   mutable min_valid : bool;  (* ... valid only when this is set *)
 }
 
-let dummy_resume : unit -> unit = fun () -> ()
-let dummy_register : (unit -> unit) -> unit = fun _ -> ()
+let f_busy = 0  (* capacity cycles delivered *)
+let f_min_rem = 1
+
+(* [Float.min]/[Float.max] for the operands this module feeds them —
+   never NaN, never a negative zero — where the two agree exactly.
+   Inlined, so the hot loops pass and return unboxed floats instead of
+   boxing both arguments of a stdlib call. *)
+let[@inline] fmin (x : float) y = if y > x then x else y
+let[@inline] fmax (x : float) y = if y < x then x else y
 
 
 let create sim params ~core_id =
@@ -110,17 +137,22 @@ let create sim params ~core_id =
     nslots = 0;
     j_kind = Array.make 16 (-1);
     j_rem = Array.make 16 0.0;
-    j_resume = Array.make 16 dummy_resume;
-    j_register = Array.make 16 dummy_register;
+    j_proc = Array.make 16 Sim.no_proc;
     njobs = 0;
-    jorder = Hashtbl.create 64;
+    j_stamp = Array.make 16 0;
+    next_stamp = 0;
+    jbuckets = 64;
     rpos = Array.make 16 (-1);
     rslot = Array.make 16 0;
     rweight = Array.make 16 0.0;
     rcount = 0;
     last_update = 0;
     epoch = 0;
-    busy = ref 0.0;
+    ev_epoch = [||];
+    ev_fire = [||];
+    ev_free = [||];
+    ev_nfree = 0;
+    fl = [| 0.0; infinity |];
     work = Array.make 3 0.0;
     b_cycles = Array.make 16 0.0;
     b_flag = Array.make 16 0;
@@ -130,9 +162,10 @@ let create sim params ~core_id =
     srate = Array.make 16 0.0;
     scapped = Array.make 16 false;
     scount = 0;
+    fslot = Array.make 16 0;
+    fbucket = Array.make 16 0;
     frozen = 0;
     nonunit = 0;
-    min_rem = infinity;
     min_valid = false;
   }
 
@@ -152,18 +185,20 @@ let ensure_slot t slot =
     t.s_ptid <- grow t.s_ptid (-1);
     t.j_kind <- grow t.j_kind (-1);
     t.j_rem <- grow t.j_rem 0.0;
-    t.j_resume <- grow t.j_resume dummy_resume;
-    t.j_register <- grow t.j_register dummy_register;
+    t.j_proc <- grow t.j_proc Sim.no_proc;
+    t.j_stamp <- grow t.j_stamp 0;
     t.rpos <- grow t.rpos (-1);
     t.b_cycles <- grow t.b_cycles 0.0;
     t.b_flag <- grow t.b_flag 0
   end
 
-(* Intern [ptid], allocating its slot on first use. *)
+(* Intern [ptid], allocating its slot on first use.  [Hashtbl.find]
+   rather than [find_opt]: this runs on every public call, and the
+   latter allocates its [Some]. *)
 let slot_of t ptid =
-  match Hashtbl.find_opt t.slots ptid with
-  | Some s -> s
-  | None ->
+  match Hashtbl.find t.slots ptid with
+  | s -> s
+  | exception Not_found ->
     let s = t.nslots in
     t.nslots <- s + 1;
     ensure_slot t s;
@@ -217,7 +252,9 @@ let ensure_scratch t n =
     t.sslot <- Array.make cap 0;
     t.sweight <- Array.make cap 0.0;
     t.srate <- Array.make cap 0.0;
-    t.scapped <- Array.make cap false
+    t.scapped <- Array.make cap false;
+    t.fslot <- Array.make cap 0;
+    t.fbucket <- Array.make cap 0
   end
 
 (* Fill the scratch arrays with the runnable slots holding in-flight jobs
@@ -294,7 +331,7 @@ let compute_rates t =
     done
   end
 
-let bill t slot served =
+let[@inline] bill t slot served =
   if t.b_flag.(slot) = 0 then begin
     t.b_flag.(slot) <- 1;
     Hashtbl.replace t.border t.s_ptid.(slot) slot
@@ -303,18 +340,60 @@ let bill t slot served =
 
 let remove_job t slot =
   t.j_kind.(slot) <- -1;
-  t.njobs <- t.njobs - 1;
-  Hashtbl.remove t.jorder t.s_ptid.(slot)
+  t.njobs <- t.njobs - 1
 
-(* Resume the thread awaiting [slot]'s completion (the old [Ivar.fill]).
+(* Wake the process parked on [slot]'s completion (the old [Ivar.fill]).
    Call only after [remove_job], mirroring the original fill-after-remove
    ordering. *)
 let complete t slot =
-  let r = t.j_resume.(slot) in
-  if r != dummy_resume then begin
-    t.j_resume.(slot) <- dummy_resume;
-    r ()
+  let p = t.j_proc.(slot) in
+  if p != Sim.no_proc then begin
+    t.j_proc.(slot) <- Sim.no_proc;
+    Sim.wake t.sim p
   end
+[@@sl.zero_alloc]
+
+(* Whether finished entry [i] ([fslot.(i)], legacy bucket
+   [fbucket.(i)]) resumes before entry [j]: the original engine resumed
+   simultaneous completions in its [Hashtbl.fold] order reversed by the
+   fold's cons — buckets from last to first, oldest insert first within
+   a bucket. *)
+let[@inline] resumes_before t i j =
+  let bi = t.fbucket.(i) and bj = t.fbucket.(j) in
+  bi > bj || (bi = bj && t.j_stamp.(t.fslot.(i)) < t.j_stamp.(t.fslot.(j)))
+
+let swap_finished t i j =
+  let s = t.fslot.(i) and b = t.fbucket.(i) in
+  t.fslot.(i) <- t.fslot.(j);
+  t.fbucket.(i) <- t.fbucket.(j);
+  t.fslot.(j) <- s;
+  t.fbucket.(j) <- b
+[@@sl.zero_alloc]
+
+let rec sift_finished t i n =
+  let l = (2 * i) + 1 in
+  if l < n then begin
+    let m = if l + 1 < n && resumes_before t l (l + 1) then l + 1 else l in
+    if resumes_before t i m then begin
+      swap_finished t i m;
+      sift_finished t m n
+    end
+  end
+[@@sl.zero_alloc]
+
+(* Heapsort the first [n] finished entries into resume order: in place
+   and allocation-free (lockstep workloads finish several jobs at once
+   on most completions), and O(n log n) (a boot storm finishes hundreds
+   on one core at once). *)
+let sort_finished t n =
+  for i = (n / 2) - 1 downto 0 do
+    sift_finished t i n
+  done;
+  for last = n - 1 downto 1 do
+    swap_finished t 0 last;
+    sift_finished t 0 last
+  done
+[@@sl.zero_alloc]
 
 (* Deliver service for the time elapsed since the last update, completing
    any jobs that finished.  When no time has passed nothing can have
@@ -334,7 +413,7 @@ let advance t =
     for i = t.scount - 1 downto 0 do
       let slot = t.sslot.(i) in
       let rem = t.j_rem.(slot) in
-      let served = Float.min rem (elapsed *. t.srate.(i)) in
+      let served = fmin rem (elapsed *. t.srate.(i)) in
       let left = rem -. served in
       t.j_rem.(slot) <- left;
       if left > 1e-6 && left < !live_min then live_min := left
@@ -342,12 +421,12 @@ let advance t =
         incr nfinished;
         last_finished := slot
       end;
-      t.busy := !(t.busy) +. served;
+      t.fl.(f_busy) <- t.fl.(f_busy) +. served;
       t.work.(t.j_kind.(slot)) <- t.work.(t.j_kind.(slot)) +. served;
       bill t slot served
     done;
     if t.frozen = 0 then begin
-      t.min_rem <- !live_min;
+      t.fl.(f_min_rem) <- !live_min;
       t.min_valid <- !live_min < infinity
     end
     else t.min_valid <- false;
@@ -356,30 +435,34 @@ let advance t =
        when the serve loop saw none there is nothing to scan for, and when
        it saw exactly one — the steady-state shape: one completion event
        per [execute] — that job completes directly.  Only a multi-finish
-       advance (boot storms, lockstep pools) pays the whole-table fold,
-       walked in the [jorder] shadow's legacy bucket order so that the
-       relative [Ivar.fill] order of simultaneous completions — and with
-       it event sequencing downstream — matches the original engine
-       exactly. *)
+       advance (boot storms, lockstep pools) sorts its finished jobs
+       into the order the original engine's [Hashtbl.fold] resumed them
+       in, so that event sequencing downstream matches the original
+       engine exactly. *)
     if !nfinished = 1 then begin
       let slot = !last_finished in
       remove_job t slot;
       complete t slot
     end
     else if !nfinished > 1 then begin
-      let finished =
-        Hashtbl.fold
-          (fun _ptid slot acc ->
-            if t.j_rem.(slot) <= 1e-6 then slot :: acc else acc)
-          t.jorder []
-      in
-      List.iter
-        (fun slot ->
-          remove_job t slot;
-          complete t slot)
-        finished
+      let k = ref 0 in
+      for i = 0 to t.scount - 1 do
+        let slot = t.sslot.(i) in
+        if t.j_rem.(slot) <= 1e-6 then begin
+          t.fslot.(!k) <- slot;
+          t.fbucket.(!k) <- Hashtbl.hash t.s_ptid.(slot) land (t.jbuckets - 1);
+          incr k
+        end
+      done;
+      sort_finished t !k;
+      for i = 0 to !k - 1 do
+        let slot = t.fslot.(i) in
+        remove_job t slot;
+        complete t slot
+      done
     end
   end
+[@@sl.zero_alloc]
 
 (* Unit weights, nothing frozen: every job is active at the same rate,
    so the earliest completion is the least-remaining job's.  [dt] below
@@ -388,30 +471,41 @@ let advance t =
    float n (n exact unit-weight additions), and ceil/round/max are
    monotone, so applying them to the minimum remaining yields the
    minimum dt.  This runs once per completion event in the common
-   experiment shape, hence the allocation budget (float boxing is out
-   of the contract's scope, see DESIGN.md). *)
-let next_unit_weight_dt t =
+   experiment shape, hence the allocation budget.  It returns the dt
+   already converted to whole cycles ([no_event] for none): a float
+   result would be boxed at [reschedule]'s join point.  The minimum
+   remaining is finite whenever [min_valid] holds. *)
+let no_event = max_int
+
+let[@inline] next_unit_weight_dt t =
   let n = t.njobs in
-  if n = 0 then infinity
+  if n = 0 then no_event
   else begin
     let rate =
       if n <= t.params.Params.smt_width then 1.0
       else float_of_int t.params.Params.smt_width /. float_of_int n
     in
-    Float.max 1.0 (Float.round (Float.ceil (t.min_rem /. rate)))
+    int_of_float (fmax 1.0 (Float.round (Float.ceil (t.fl.(f_min_rem) /. rate))))
   end
 [@@sl.zero_alloc]
 
-(* Schedule the next completion event, invalidating older ones. *)
+(* Schedule the next completion event, invalidating older ones.
+
+   Completion events come from a per-core pool of preallocated thunks,
+   each reading its own epoch slot, instead of a fresh closure per
+   reschedule.  A superseded event (its epoch is stale) is not removed
+   from the queue: it still fires, returns its thunk to the pool and
+   does nothing else.  It must fire — popping it moves the clock, and a
+   superseded event that is the last in the queue sets the world's
+   final time. *)
 let rec reschedule t =
   t.epoch <- t.epoch + 1;
-  let epoch = t.epoch in
   let next =
     if t.frozen = 0 && t.nonunit = 0 && t.min_valid then
       next_unit_weight_dt t
     else begin
       collect_active t;
-      if t.scount = 0 then infinity
+      if t.scount = 0 then no_event
       else begin
         compute_rates t;
         let next = ref infinity in
@@ -419,24 +513,55 @@ let rec reschedule t =
           let rate = t.srate.(i) in
           if rate > 0.0 then begin
             let dt =
-              Float.max 1.0
+              fmax 1.0
                 (Float.round (Float.ceil (t.j_rem.(t.sslot.(i)) /. rate)))
             in
             if dt < !next then next := dt
           end
         done;
-        !next
+        if !next < infinity then int_of_float !next else no_event
       end
     end
   in
-  if next < infinity then begin
-    let at = Sim.time t.sim + int_of_float next in
-    Sim.schedule t.sim ~at (fun () ->
-        if epoch = t.epoch then begin
-          advance t;
-          reschedule t
-        end)
+  if next < no_event then begin
+    if t.ev_nfree = 0 then grow_events t;
+    let i = t.ev_free.(t.ev_nfree - 1) in
+    t.ev_nfree <- t.ev_nfree - 1;
+    t.ev_epoch.(i) <- t.epoch;
+    Sim.schedule t.sim ~at:(Sim.time t.sim + next) t.ev_fire.(i)
   end
+
+(* The body of pooled completion event [i]. *)
+and fire t i =
+  t.ev_free.(t.ev_nfree) <- i;
+  t.ev_nfree <- t.ev_nfree + 1;
+  if t.ev_epoch.(i) = t.epoch then begin
+    advance t;
+    reschedule t
+  end
+[@@sl.zero_alloc]
+
+(* Double the pool; the new thunks all start free.  Amortized: the pool
+   only grows to the largest number of completion events ever queued at
+   once (one per reschedule since the last one fired). *)
+and grow_events t =
+  let n = Array.length t.ev_fire in
+  let cap = max 8 (2 * n) in
+  let epochs = Array.make cap 0 in
+  Array.blit t.ev_epoch 0 epochs 0 n;
+  let fires = Array.make cap ignore in
+  Array.blit t.ev_fire 0 fires 0 n;
+  (* Every event is in the queue when the pool runs dry: the free stack
+     holds only the new indices. *)
+  let free = Array.make cap 0 in
+  for i = n to cap - 1 do
+    fires.(i) <- (fun () -> fire t i);
+    free.(i - n) <- i
+  done;
+  t.ev_epoch <- epochs;
+  t.ev_fire <- fires;
+  t.ev_free <- free;
+  t.ev_nfree <- cap - n
 
 let set_runnable t ~ptid ~weight runnable =
   if weight <= 0.0 then invalid_arg "Smt_core.set_runnable: weight must be positive";
@@ -451,7 +576,8 @@ let set_runnable t ~ptid ~weight runnable =
     if (not had) && has_job t slot then begin
       (* A frozen job thaws back into the active set. *)
       t.frozen <- t.frozen - 1;
-      if t.min_valid then t.min_rem <- Float.min t.min_rem t.j_rem.(slot)
+      if t.min_valid then
+        t.fl.(f_min_rem) <- fmin t.fl.(f_min_rem) t.j_rem.(slot)
     end
   end
   else begin
@@ -489,18 +615,19 @@ let execute t ~ptid ~kind cycles =
     advance t;
     let rem = float_of_int cycles in
     if t.njobs = 0 then begin
-      t.min_rem <- rem;
+      t.fl.(f_min_rem) <- rem;
       t.min_valid <- true
     end
-    else if t.min_valid then t.min_rem <- Float.min t.min_rem rem;
+    else if t.min_valid then t.fl.(f_min_rem) <- fmin t.fl.(f_min_rem) rem;
     t.j_kind.(slot) <- kind_index kind;
     t.j_rem.(slot) <- rem;
     t.njobs <- t.njobs + 1;
-    Hashtbl.replace t.jorder ptid slot;
+    t.j_stamp.(slot) <- t.next_stamp;
+    t.next_stamp <- t.next_stamp + 1;
+    if t.njobs > 2 * t.jbuckets then t.jbuckets <- 2 * t.jbuckets;
     reschedule t;
-    if t.j_register.(slot) == dummy_register then
-      t.j_register.(slot) <- (fun resume -> t.j_resume.(slot) <- resume);
-    Sim.await t.j_register.(slot)
+    t.j_proc.(slot) <- Sim.self t.sim;
+    Sim.park ()
   end
 
 let runnable_count t = t.rcount
@@ -514,7 +641,7 @@ let active_jobs t =
 
 let busy_capacity_cycles t =
   advance t;
-  !(t.busy)
+  t.fl.(f_busy)
 
 let work_done t kind =
   advance t;

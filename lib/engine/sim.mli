@@ -91,7 +91,7 @@ type blocked = {
 }
 
 val stuck : t -> blocked list
-(** Processes currently suspended in {!await} with no resume in flight —
+(** Processes currently suspended in {!await} or {!park} with no resume in flight —
     after {!run} returns with an empty queue these are blocked forever
     (a deadlocked model, a lost wakeup, or a server parked by design).
     Sorted by pid.  Processes merely scheduled past a [?until] horizon are
@@ -139,9 +139,10 @@ val fork : (unit -> unit) -> unit
 val await : (('a -> unit) -> unit) -> 'a
 (** [await register] suspends the calling process; [register] receives a
     one-shot [resume] callback that re-enqueues the process with a result
-    value.  This is the primitive from which ivars, signals and queues are
-    built.  [resume] may be called immediately or at any later simulated
-    time, but at most once. *)
+    value.  Ivars, signals and queues are built on it; it is itself a
+    wrapper over {!park}.  [resume] may be called immediately (even from
+    inside [register]) or at any later simulated time, but at most once:
+    a second call raises [Invalid_argument]. *)
 
 val yield : unit -> unit
 (** Re-enqueue the calling process at the current time, letting other
@@ -152,3 +153,34 @@ val set_daemon : bool -> unit
     purposes.  Use when a process only becomes park-by-design partway
     through its life (e.g. a hardware thread entering the disabled
     state). *)
+
+(** {2 Parking: the engine's suspension primitive}
+
+    Every blocking operation above ({!delay}, {!await}, and through
+    {!await} every ivar, signal and queue) suspends through one
+    continuation slot per process.  Models on the simulator's hot path
+    (the SMT core's completions, the chip's wake cell) use the slot
+    directly: record {!self}, {!park}, and later {!wake} — which
+    allocates nothing beyond the continuation {!park} captures. *)
+
+type proc
+(** A process handle, for {!wake}. *)
+
+val no_proc : proc
+(** A handle that is never parked: filler for preallocated slots.
+    {!wake} rejects it. *)
+
+val self : t -> proc
+(** The process currently running in [t].  Raises [Invalid_argument]
+    when called outside a process of [t]. *)
+
+val park : unit -> unit
+(** Suspend the calling process until another party calls {!wake} on
+    it.  While parked it counts as blocked for {!stuck} and
+    {!suspects}.  Must be called from within a process. *)
+
+val wake : t -> proc -> unit
+(** [wake t p] re-enqueues the parked process [p] at the current time,
+    in scheduling order (exactly where an {!await} resume would).
+    Raises [Invalid_argument] if [p] is not parked — a second wake
+    before [p] runs, or a wake of a running or delayed process. *)

@@ -2,7 +2,11 @@ type t = {
   precision : int;  (* sub-bucket bits per octave *)
   mutable buckets : int array;  (* grows on demand *)
   mutable count : int;
-  mutable total : float;  (* running sum for the mean *)
+  mutable total : int;
+      (* running sum for the mean.  An int, not a float: a mutable float
+         field of this mixed record would box on every [record].  [mean]
+         is bit-identical to float accumulation while the sum stays
+         below 2^53, where every partial float sum is exact. *)
   mutable min_v : int;
   mutable max_v : int;
 }
@@ -14,7 +18,7 @@ let create ?(precision = 7) () =
     precision;
     buckets = Array.make (1 lsl (precision + 2)) 0;
     count = 0;
-    total = 0.0;
+    total = 0;
     min_v = 0;
     max_v = 0;
   }
@@ -74,7 +78,7 @@ let record_n t v n =
       if v > t.max_v then t.max_v <- v
     end;
     t.count <- t.count + n;
-    t.total <- t.total +. (float_of_int v *. float_of_int n)
+    t.total <- t.total + (v * n)
   end
 
 let record t v = record_n t v 1
@@ -82,7 +86,7 @@ let record t v = record_n t v 1
 let count t = t.count
 let min_value t = t.min_v
 let max_value t = t.max_v
-let mean t = if t.count = 0 then 0.0 else t.total /. float_of_int t.count
+let mean t = if t.count = 0 then 0.0 else float_of_int t.total /. float_of_int t.count
 
 let quantile t q =
   if q < 0.0 || q > 1.0 then invalid_arg "Histogram.quantile: q outside [0,1]";
@@ -120,13 +124,13 @@ let merge_into ~dst src =
       if src.max_v > dst.max_v then dst.max_v <- src.max_v
     end;
     dst.count <- dst.count + src.count;
-    dst.total <- dst.total +. src.total
+    dst.total <- dst.total + src.total
   end
 
 let reset t =
   Array.fill t.buckets 0 (Array.length t.buckets) 0;
   t.count <- 0;
-  t.total <- 0.0;
+  t.total <- 0;
   t.min_v <- 0;
   t.max_v <- 0
 

@@ -191,8 +191,100 @@ let prop_work_conservation =
       && makespan >= total / width
       && makespan <= total + (2 * n))
 
+(* A superseded completion event is not dropped: it still fires and moves
+   the clock.  Two jobs share a one-wide core (completion due at 200);
+   freezing B lets A finish alone at 100, and nothing is left to run
+   after that — but the superseded event at 200 is still queued, and the
+   world's final time is 200. *)
+let test_superseded_completion_moves_clock () =
+  with_core ~smt_width:1 (fun sim core ->
+      let a_done = ref (-1) and b_done = ref (-1) in
+      let job ptid finished =
+        Sim.spawn sim (fun () ->
+            Smt_core.set_runnable core ~ptid ~weight:1.0 true;
+            Smt_core.execute core ~ptid ~kind:Smt_core.Useful 100;
+            finished := Sim.now ())
+      in
+      job 1 a_done;
+      job 2 b_done;
+      Sim.schedule sim ~at:0 (fun () ->
+          Smt_core.set_runnable core ~ptid:2 ~weight:1.0 false);
+      Sim.run sim;
+      check_i64 "A finishes alone" 100 !a_done;
+      check_i64 "frozen B never finishes" (-1) !b_done;
+      check_i64 "final clock set by the superseded event" 200 (Sim.time sim);
+      check_i64 "B is left parked" 1 (List.length (Sim.stuck sim)))
+
+(* Jobs that finish in the same instant resume in the order the original
+   engine's [(ptid, job) Hashtbl.fold] gave them.  Each round starts a
+   batch of jobs at once on a core wide enough to run them all at rate
+   1, on sparse ptids (bucket collisions), with 10, 20 or 30 cycles, so
+   each group finishes together while the longer ones are still in
+   flight; rounds of up to 300 jobs grow the table past 128 and 256
+   entries.  The model replays every insert and remove on a real,
+   unrandomized [Hashtbl] and reads each group's order off its fold. *)
+let prop_simultaneous_completion_order =
+  QCheck.Test.make ~name:"simultaneous completions resume in legacy Hashtbl order"
+    ~count:40
+    QCheck.(
+      list_of_size Gen.(1 -- 4)
+        (list_of_size Gen.(1 -- 300) (pair (int_bound 400) (int_range 1 3))))
+    (fun rounds ->
+      let ptid i = (i * 7919) + if i mod 5 = 0 then 777_000 else 0 in
+      let rounds =
+        List.map
+          (fun jobs ->
+            let seen = Hashtbl.create 64 in
+            List.filter_map
+              (fun (i, c) ->
+                let p = ptid i in
+                if Hashtbl.mem seen p then None
+                else begin
+                  Hashtbl.replace seen p ();
+                  Some (p, 10 * c)
+                end)
+              jobs)
+          rounds
+      in
+      let resumed =
+        with_core ~smt_width:1024 (fun sim core ->
+            let log = ref [] in
+            List.iteri
+              (fun r jobs ->
+                List.iter
+                  (fun (ptid, cycles) ->
+                    Sim.spawn sim (fun () ->
+                        Sim.delay (r * 1000);
+                        Smt_core.set_runnable core ~ptid ~weight:1.0 true;
+                        Smt_core.execute core ~ptid ~kind:Smt_core.Useful cycles;
+                        log := ptid :: !log))
+                  jobs)
+              rounds;
+            Sim.run sim;
+            List.rev !log)
+      in
+      let tbl = Hashtbl.create ~random:false 64 in
+      let expected =
+        List.concat_map
+          (fun jobs ->
+            List.iter (fun (p, _) -> Hashtbl.replace tbl p ()) jobs;
+            List.concat_map
+              (fun cycles ->
+                let group = List.filter (fun (_, c) -> c = cycles) jobs in
+                let order =
+                  Hashtbl.fold
+                    (fun p () acc -> if List.mem_assoc p group then p :: acc else acc)
+                    tbl []
+                in
+                List.iter (fun (p, _) -> Hashtbl.remove tbl p) group;
+                order)
+              [ 10; 20; 30 ])
+          rounds
+      in
+      resumed = expected)
+
 let () =
-  let qsuite = List.map QCheck_alcotest.to_alcotest [ prop_work_conservation ] in
+  let qsuite = List.map QCheck_alcotest.to_alcotest [ prop_work_conservation; prop_simultaneous_completion_order ] in
   Alcotest.run "smt_core"
     [
       ( "rates",
@@ -210,6 +302,8 @@ let () =
           Alcotest.test_case "zero cycles immediate" `Quick test_zero_cycles_returns_immediately;
           Alcotest.test_case "execute requires runnable" `Quick test_execute_requires_runnable;
           Alcotest.test_case "double execute rejected" `Quick test_double_execute_rejected;
+          Alcotest.test_case "superseded completion moves clock" `Quick
+            test_superseded_completion_moves_clock;
         ] );
       ( "accounting",
         [

@@ -510,6 +510,125 @@ let test_stuck_ignores_horizon_parked () =
   Sim.run ~until:10 sim;
   Alcotest.(check int) "not stuck" 0 (List.length (Sim.stuck sim))
 
+(* --- park / wake: the suspension slot --- *)
+
+let raises_invalid f =
+  match f () with () -> false | exception Invalid_argument _ -> true
+
+let test_wake_twice_rejected () =
+  let sim = Sim.create () in
+  let p = ref Sim.no_proc and woke_at = ref (-1) in
+  Sim.spawn sim (fun () ->
+      p := Sim.self sim;
+      Sim.park ();
+      woke_at := Sim.now ());
+  Sim.run sim;
+  check_int "parked, not finished" (-1) !woke_at;
+  check_bool "self between events" true
+    (raises_invalid (fun () -> ignore (Sim.self sim : Sim.proc)));
+  Sim.schedule sim ~at:7 (fun () ->
+      Sim.wake sim !p;
+      check_bool "second wake before it runs" true
+        (raises_invalid (fun () -> Sim.wake sim !p)));
+  Sim.run sim;
+  check_int "woken once, at the waker's time" 7 !woke_at;
+  check_bool "wake after it returned" true (raises_invalid (fun () -> Sim.wake sim !p));
+  check_bool "wake of the filler handle" true
+    (raises_invalid (fun () -> Sim.wake sim Sim.no_proc))
+
+let test_wake_unparked_rejected () =
+  let sim = Sim.create () in
+  let self_wake = ref false and sleeper_wake = ref false in
+  let sleeper = ref Sim.no_proc in
+  Sim.spawn sim (fun () ->
+      sleeper := Sim.self sim;
+      Sim.delay 10);
+  Sim.spawn sim (fun () ->
+      self_wake := raises_invalid (fun () -> Sim.wake sim (Sim.self sim));
+      Sim.delay 5;
+      sleeper_wake := raises_invalid (fun () -> Sim.wake sim !sleeper));
+  Sim.run sim;
+  check_bool "running process" true !self_wake;
+  check_bool "process inside delay" true !sleeper_wake;
+  check_bool "self outside a process" true
+    (raises_invalid (fun () -> ignore (Sim.self sim : Sim.proc)))
+
+(* A resume issued from inside [register] runs before the process has
+   parked; it must still re-enqueue it at (now, next seq) — behind
+   events already queued at this time, ahead of ones queued after. *)
+let test_await_resume_inside_register () =
+  let sim = Sim.create () in
+  let log = ref [] in
+  let say s = log := s :: !log in
+  Sim.spawn sim (fun () ->
+      let v =
+        Sim.await (fun resume ->
+            resume 42;
+            Sim.schedule sim ~at:(Sim.time sim) (fun () -> say "later"))
+      in
+      say (Printf.sprintf "got %d at %d" v (Sim.now ())));
+  Sim.spawn sim (fun () -> say "queued before");
+  Sim.run sim;
+  Alcotest.(check (list string))
+    "order" [ "queued before"; "got 42 at 0"; "later" ] (List.rev !log);
+  check_int "not stuck" 0 (List.length (Sim.stuck sim));
+  let twice = ref false in
+  Sim.spawn sim (fun () ->
+      Sim.await (fun resume ->
+          resume ();
+          twice := raises_invalid resume));
+  Sim.run sim;
+  check_bool "second resume rejected" true !twice
+
+let test_stuck_reports_parked () =
+  let sim = Sim.create () in
+  let server = ref Sim.no_proc in
+  Sim.spawn ~name:"parked" sim (fun () ->
+      Sim.delay 4;
+      Sim.park ());
+  Sim.spawn ~name:"server" sim (fun () ->
+      server := Sim.self sim;
+      Sim.delay 6;
+      Sim.set_daemon true;
+      Sim.park ();
+      Sim.set_daemon false;
+      Sim.park ());
+  Sim.spawn ~name:"sleeper" sim (fun () -> Sim.delay 1_000);
+  Sim.run ~until:100 sim;
+  let names l = List.map (fun (b : Sim.blocked) -> (b.Sim.name, b.Sim.blocked_since)) l in
+  Alcotest.(check (list (pair (option string) int)))
+    "stuck lists both parked" [ (Some "parked", 4); (Some "server", 6) ]
+    (names (Sim.stuck sim));
+  Alcotest.(check (list (pair (option string) int)))
+    "suspects skip the daemon" [ (Some "parked", 4) ] (names (Sim.suspects sim));
+  (* Woken but not yet run: a queued event, not blocked. *)
+  Sim.wake sim !server;
+  Alcotest.(check (list (pair (option string) int)))
+    "woken is not stuck" [ (Some "parked", 4) ] (names (Sim.stuck sim));
+  Sim.run ~until:200 sim;
+  Alcotest.(check (list (pair (option string) int)))
+    "re-parked, no longer a daemon" [ (Some "parked", 4); (Some "server", 100) ]
+    (names (Sim.suspects sim))
+
+(* The world keeps what {!Sim.stuck} reports about a parked process, not
+   its continuation: once nothing can wake it, its stack (and whatever
+   model state the stack references) is garbage even though the world
+   is still alive. *)
+let test_unwakeable_park_is_garbage () =
+  let sim = Sim.create () in
+  let w = Weak.create 1 in
+  Sim.spawn ~name:"orphan" sim (fun () ->
+      let payload = Bytes.make 64 'x' in
+      Weak.set w 0 (Some payload);
+      Sim.park ();
+      ignore (Sys.opaque_identity payload : Bytes.t));
+  Sim.run sim;
+  Gc.full_major ();
+  check_bool "stack collected, world alive" true (Weak.get w 0 = None);
+  Alcotest.(check (list (option string)))
+    "still reported" [ Some "orphan" ]
+    (List.map (fun (b : Sim.blocked) -> b.Sim.name) (Sim.stuck sim))
+
 (* --- determinism property --- *)
 
 let run_noise_simulation seed =
@@ -775,6 +894,16 @@ let () =
           Alcotest.test_case "reports abandoned" `Quick test_stuck_reports_abandoned_process;
           Alcotest.test_case "empty when resumed" `Quick test_stuck_empty_when_all_resume;
           Alcotest.test_case "ignores horizon" `Quick test_stuck_ignores_horizon_parked;
+        ] );
+      ( "park",
+        [
+          Alcotest.test_case "second wake rejected" `Quick test_wake_twice_rejected;
+          Alcotest.test_case "wake of unparked rejected" `Quick test_wake_unparked_rejected;
+          Alcotest.test_case "resume inside register" `Quick
+            test_await_resume_inside_register;
+          Alcotest.test_case "stuck reports parked" `Quick test_stuck_reports_parked;
+          Alcotest.test_case "unwakeable park is garbage" `Quick
+            test_unwakeable_park_is_garbage;
         ] );
       ("properties", qsuite);
     ]

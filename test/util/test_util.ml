@@ -281,6 +281,53 @@ let prop_histogram_matches_sorted_oracle =
           approx >= exact && approx <= exact + (exact lsr 7))
         quantile_grid)
 
+(* The running sum is an int.  Against the float accumulation it
+   replaces — [total +. float v *. float n] per sample, [+.] per merge —
+   the mean must be bit-identical (compared through its [%h] rendering),
+   and so must the one-line summary; the quantiles keep their oracle
+   bound.  Values stay small enough for the sum to stay below 2^53. *)
+let prop_histogram_int_sum_matches_float_accumulation =
+  QCheck.Test.make ~name:"int running sum == float accumulation (mean %h)"
+    ~count:300
+    QCheck.(
+      pair
+        (list_of_size Gen.(0 -- 100) (pair (int_bound (1 lsl 30)) (int_range 1 8)))
+        (list_of_size Gen.(0 -- 100) (pair (int_bound (1 lsl 30)) (int_range 1 8))))
+    (fun (l1, l2) ->
+      let fill samples =
+        let h = Histogram.create () in
+        let total = ref 0.0 in
+        List.iter
+          (fun (v, n) ->
+            Histogram.record_n h v n;
+            total := !total +. (float_of_int v *. float_of_int n))
+          samples;
+        (h, !total)
+      in
+      let h, t1 = fill l1 and h2, t2 = fill l2 in
+      Histogram.merge_into ~dst:h h2;
+      let total = t1 +. t2 in
+      let count = Histogram.count h in
+      let mean_ref = if count = 0 then 0.0 else total /. float_of_int count in
+      let summary_ref =
+        Printf.sprintf "n=%d mean=%.1f p50=%d p99=%d p999=%d max=%d" count mean_ref
+          (Histogram.quantile h 0.50) (Histogram.quantile h 0.99)
+          (Histogram.quantile h 0.999) (Histogram.max_value h)
+      in
+      let sorted =
+        Array.of_list (List.concat_map (fun (v, n) -> List.init n (fun _ -> v)) (l1 @ l2))
+      in
+      Array.sort compare sorted;
+      Printf.sprintf "%h" (Histogram.mean h) = Printf.sprintf "%h" mean_ref
+      && Format.asprintf "%a" Histogram.pp_summary h = summary_ref
+      && (count = 0
+         || List.for_all
+              (fun q ->
+                let exact = oracle_quantile sorted q in
+                let approx = Histogram.quantile h q in
+                approx >= exact && approx <= exact + (exact lsr 7))
+              quantile_grid))
+
 (* merge_into h1 h2 must be indistinguishable from the histogram of the
    concatenated sample: identical buckets, so identical count, min, max
    and every quantile; the mean agrees up to float summation order. *)
@@ -481,6 +528,7 @@ let () =
         prop_histogram_quantile_monotone;
         prop_histogram_matches_sorted_oracle;
         prop_histogram_merge_is_concat;
+        prop_histogram_int_sum_matches_float_accumulation;
         prop_json_escape_no_raw_controls;
         prop_parallel_matches_sequential;
       ]
