@@ -45,9 +45,9 @@ let run () =
       per_packet_work = 10;
     }
   in
-  let m = Io_path.run_mwait cfg in
-  let poll = Io_path.run_polling cfg in
-  let intr = Io_path.run_interrupt cfg in
+  let m = Io_path.run Io_path.Mwait cfg in
+  let poll = Io_path.run Io_path.Polling cfg in
+  let intr = Io_path.run Io_path.Irq_wake cfg in
   Tablefmt.print
     (Tablefmt.render ~title:"E1b: NIC single-packet wakeup at ~0 load (cycles)"
        ~header:[ "design"; "events"; "p50"; "p99"; "max"; "p50 ns @3GHz" ]

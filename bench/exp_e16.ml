@@ -45,10 +45,10 @@ let cfg ~arrivals ~service ~slo =
 
 let designs =
   [
-    ("mwait", Io_path.run_load_mwait);
-    ("polling", fun c -> Io_path.run_load_polling c);
-    ("irq+sched", Io_path.run_load_interrupt);
-    ("flexsc", fun c -> Io_path.run_load_flexsc c);
+    ("mwait", Io_path.Mwait);
+    ("polling", Io_path.Polling);
+    ("irq+sched", Io_path.Irq_deliver);
+    ("flexsc", Io_path.Flexsc);
   ]
 
 (* One sweep: per design, p99 sojourn at each offered load. *)
@@ -59,7 +59,7 @@ let sweep ~service ~slo =
         Arrivals.poisson ~rate_per_kcycle:(load *. capacity_per_kcycle)
       in
       let c = cfg ~arrivals ~service ~slo in
-      (load, List.map (fun (_, run) -> (run c).Io_path.lat) designs))
+      (load, List.map (fun (_, d) -> (Io_path.run_load d c).Io_path.lat) designs))
     loads
 
 let p99_row summaries = List.map (fun s -> float_of_int s.Latency.p99) summaries
@@ -137,8 +137,8 @@ let run () =
               ~amplitude ~mean_dwell:200_000.0
         in
         let c = cfg ~arrivals ~service:exp_service ~slo in
-        let mwait = (Io_path.run_load_mwait c).Io_path.lat in
-        let irq = (Io_path.run_load_interrupt c).Io_path.lat in
+        let mwait = (Io_path.run_load Io_path.Mwait c).Io_path.lat in
+        let irq = (Io_path.run_load Io_path.Irq_deliver c).Io_path.lat in
         ( amplitude,
           [
             float_of_int mwait.Latency.p99;

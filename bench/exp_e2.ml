@@ -33,8 +33,8 @@ let rss_sweep () =
           per_packet_work = 500;
         }
       in
-      let single = Io_path.run_mwait cfg in
-      let rss = Io_path.run_mwait_rss ~queues:4 cfg in
+      let single = Io_path.run Io_path.Mwait cfg in
+      let rss = Io_path.run (Io_path.Mwait_rss 4) cfg in
       let p99 (s : Io_path.stats) =
         float_of_int (Histogram.quantile s.Io_path.latencies 0.99)
       in
@@ -58,10 +58,10 @@ let run () =
           }
         in
         ( rate,
-          Io_path.run_mwait cfg,
-          Io_path.run_polling cfg,
-          Io_path.run_interrupt cfg,
-          Io_path.run_interrupt_napi cfg ))
+          Io_path.run Io_path.Mwait cfg,
+          Io_path.run Io_path.Polling cfg,
+          Io_path.run Io_path.Irq_wake cfg,
+          Io_path.run Io_path.Irq_napi cfg ))
       rates
   in
   let p99 (s : Io_path.stats) = float_of_int (Histogram.quantile s.Io_path.latencies 0.99) in

@@ -336,14 +336,11 @@ let alloc_audit () =
   (* The measured window starts after a warmup pair, inside the thread
      body, so chip/lock construction and slot registration stay out of
      the numbers; only the steady-state loop (including the engine
-     events it schedules) is counted.  [Gc.minor] empties the minor heap
-     right before the window opens: [Gc.allocated_bytes] over-reports by
-     roughly a minor-heap's worth when a minor collection lands inside
-     the window, and whether one does depends on the GC phase the
-     surrounding tables left behind (it differed across [-j] levels).
-     The window itself allocates a few thousand words — far below the
-     minor-heap size — so starting from an empty minor heap makes the
-     reading exact and identical on every domain. *)
+     events it schedules) is counted.  [Gc.minor_words] counts every
+     word the window allocates whether or not a minor collection lands
+     inside it, so the reading does not depend on the GC phase the
+     surrounding tables left behind (test/core/test_alloc_budget.ml
+     measures the same way). *)
   let lock_run () =
     let sim = Sim.create () in
     let chip = Chip.create sim params ~cores:1 in
@@ -353,13 +350,12 @@ let alloc_audit () =
     Chip.attach th (fun t ->
         Lock.acquire lock t;
         Lock.release lock t;
-        Gc.minor ();
-        let a0 = Gc.allocated_bytes () in
+        let w0 = Gc.minor_words () in
         for _ = 1 to rounds do
           Lock.acquire lock t;
           Lock.release lock t
         done;
-        words := (Gc.allocated_bytes () -. a0) /. 8.0);
+        words := Gc.minor_words () -. w0);
     Chip.boot th;
     Sim.run sim;
     !words
@@ -373,13 +369,12 @@ let alloc_audit () =
     Chip.attach th (fun t ->
         ignore (Atomics.cas chip t word ~expect:0L ~desired:1L : bool);
         Atomics.write chip t word 0L;
-        Gc.minor ();
-        let a0 = Gc.allocated_bytes () in
+        let w0 = Gc.minor_words () in
         for _ = 1 to rounds do
           ignore (Atomics.cas chip t word ~expect:0L ~desired:1L : bool);
           Atomics.write chip t word 0L
         done;
-        words := (Gc.allocated_bytes () -. a0) /. 8.0);
+        words := Gc.minor_words () -. w0);
     Chip.boot th;
     Sim.run sim;
     !words

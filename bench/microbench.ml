@@ -263,11 +263,11 @@ let bench_e1 =
 
 let bench_e2 =
   Test.make ~name:"E2:io sweep point (mwait, 500 pkts)"
-    (Staged.stage (fun () -> ignore (Io_path.run_mwait (tiny_io 500 0.4))))
+    (Staged.stage (fun () -> ignore (Io_path.run Io_path.Mwait (tiny_io 500 0.4))))
 
 let bench_e2_interrupt =
   Test.make ~name:"E2:io sweep point (interrupt, 500 pkts)"
-    (Staged.stage (fun () -> ignore (Io_path.run_interrupt (tiny_io 500 0.4))))
+    (Staged.stage (fun () -> ignore (Io_path.run Io_path.Irq_wake (tiny_io 500 0.4))))
 
 let bench_e7 =
   Test.make ~name:"E7:server point (hw pool, 500 reqs)"

@@ -69,13 +69,13 @@ let params_cmd =
 
 (* --- io --- *)
 
-type io_design = Mwait | Polling | Interrupt
-
 let io_design =
-  let designs = [ ("mwait", Mwait); ("polling", Polling); ("interrupt", Interrupt) ] in
+  let designs =
+    [ ("mwait", Io_path.Mwait); ("polling", Io_path.Polling); ("interrupt", Io_path.Irq_wake) ]
+  in
   Arg.(
     value
-    & opt (enum designs) Mwait
+    & opt (enum designs) Io_path.Mwait
     & info [ "design" ] ~docv:"DESIGN" ~doc:"One of mwait, polling, interrupt.")
 
 let work =
@@ -99,12 +99,7 @@ let io_cmd =
         background;
       }
     in
-    let stats =
-      match design with
-      | Mwait -> Io_path.run_mwait cfg
-      | Polling -> Io_path.run_polling cfg
-      | Interrupt -> Io_path.run_interrupt cfg
-    in
+    let stats = Io_path.run design cfg in
     Printf.printf "processed %d (dropped %d) in %d cycles\n" stats.Io_path.processed
       stats.Io_path.dropped stats.Io_path.elapsed_cycles;
     Printf.printf "latency: %s\n"

@@ -23,9 +23,9 @@ let () =
   in
   let designs =
     [
-      ("interrupt", Io_path.run_interrupt cfg);
-      ("polling", Io_path.run_polling cfg);
-      ("mwait (paper)", Io_path.run_mwait cfg);
+      ("interrupt", Io_path.run Io_path.Irq_wake cfg);
+      ("polling", Io_path.run Io_path.Polling cfg);
+      ("mwait (paper)", Io_path.run Io_path.Mwait cfg);
     ]
   in
   let rows =

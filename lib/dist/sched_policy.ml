@@ -6,7 +6,6 @@ module Isa = Switchless.Isa
 module Ptid = Switchless.Ptid
 module Memory = Switchless.Memory
 module Smt_core = Switchless.Smt_core
-module Histogram = Sl_util.Histogram
 module Openloop = Sl_workload.Openloop
 
 type mode = Fcfs | Preemptive of int
@@ -33,8 +32,7 @@ let run ?(pool = 256) ?runnable_limit ~mode (cfg : Server.config) =
   let sim = Sim.create () in
   let chip = Chip.create sim params ~cores:2 in
   let memory = Chip.memory chip in
-  let latencies = Histogram.create () in
-  let slowdowns = ref [] in
+  let recorder = Server.recorder () in
   let events = Mailbox.create () in
   let done_count = ref 0 in
   let finished = ref false in
@@ -58,10 +56,7 @@ let run ?(pool = 256) ?runnable_limit ~mode (cfg : Server.config) =
             (match w.req with
             | Some req ->
               Isa.exec th req.Openloop.service_cycles;
-              let sojourn = Sim.now () - req.Openloop.arrival in
-              Histogram.record latencies sojourn;
-              let demand = float_of_int (max 1 req.Openloop.service_cycles) in
-              slowdowns := (float_of_int sojourn /. demand) :: !slowdowns;
+              Server.record recorder req;
               w.req <- None;
               incr done_count;
               if !done_count >= cfg.Server.count then finished := true;
@@ -179,13 +174,5 @@ let run ?(pool = 256) ?runnable_limit ~mode (cfg : Server.config) =
     ~service:cfg.Server.service ~count:cfg.Server.count
     ~sink:(fun req -> Mailbox.send events (Arrival req));
   Sim.run sim;
-  let arr = Array.of_list !slowdowns in
-  Array.sort compare arr;
-  {
-    Server.completed = Histogram.count latencies;
-    latencies;
-    slowdowns = arr;
-    elapsed_cycles = Sim.time sim;
-    switch_overhead_cycles =
-      Smt_core.work_done (Chip.exec_core chip 1) Smt_core.Overhead;
-  }
+  Server.finish recorder ~sim
+    ~switch_overhead:(Smt_core.work_done (Chip.exec_core chip 1) Smt_core.Overhead)

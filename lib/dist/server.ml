@@ -35,18 +35,22 @@ type config = {
   count : int;
 }
 
-let record latencies slowdowns (req : Openloop.request) =
-  let sojourn = Sim.now () - req.Openloop.arrival in
-  Histogram.record latencies sojourn;
-  let demand = float_of_int (max 1 req.Openloop.service_cycles) in
-  slowdowns := (float_of_int sojourn /. demand) :: !slowdowns
+type recorder = { sojourns : Histogram.t; mutable slowdowns : float list }
 
-let finish ~sim ~latencies ~slowdowns ~switch_overhead =
-  let arr = Array.of_list !slowdowns in
+let recorder () = { sojourns = Histogram.create (); slowdowns = [] }
+
+let record r (req : Openloop.request) =
+  let sojourn = Sim.now () - req.Openloop.arrival in
+  Histogram.record r.sojourns sojourn;
+  let demand = float_of_int (max 1 req.Openloop.service_cycles) in
+  r.slowdowns <- (float_of_int sojourn /. demand) :: r.slowdowns
+
+let finish r ~sim ~switch_overhead =
+  let arr = Array.of_list r.slowdowns in
   Array.sort compare arr;
   {
-    completed = Histogram.count latencies;
-    latencies;
+    completed = Histogram.count r.sojourns;
+    latencies = r.sojourns;
     slowdowns = arr;
     elapsed_cycles = Sim.time sim;
     switch_overhead_cycles = switch_overhead;
@@ -57,8 +61,7 @@ let finish ~sim ~latencies ~slowdowns ~switch_overhead =
 let run_software ?quantum cfg =
   let sim = Sim.create () in
   let sched = Swsched.create sim cfg.params ?quantum ~cores:cfg.cores () in
-  let latencies = Histogram.create () in
-  let slowdowns = ref [] in
+  let r = recorder () in
   let rng = Sl_util.Rng.create cfg.seed in
   Openloop.run sim rng
     ~interarrival:(Openloop.poisson ~rate_per_kcycle:cfg.rate_per_kcycle)
@@ -68,45 +71,32 @@ let run_software ?quantum cfg =
       let worker = Swsched.thread sched () in
       Sim.fork (fun () ->
           Swsched.exec worker req.Openloop.service_cycles;
-          record latencies slowdowns req));
+          record r req));
   Sim.run sim;
-  finish ~sim ~latencies ~slowdowns
-    ~switch_overhead:(Swsched.switch_overhead_cycles sched)
+  finish r ~sim ~switch_overhead:(Swsched.switch_overhead_cycles sched)
 
 (* --- hardware thread-per-request ---------------------------------------- *)
-
-type hw_worker = {
-  doorbell : Memory.addr;
-  mutable slot_request : Openloop.request option;
-  mutable hw_enlisted : bool;  (* an entry for this worker sits in [free] *)
-  mutable hw_lives : int;
-}
-
-(* --- closed-loop clients against the hardware pool ----------------------- *)
 
 module Closedloop = Sl_workload.Closedloop
 module Latency = Sl_workload.Latency
 
-type closed_stats = {
-  clients : int;
-  issued : int;
-  finished : int;
-  c_timed_out : int;
-  lat : Latency.summary;
-  wall_cycles : int;
-}
-
-type closed_worker = {
+(* A pool worker, generic in the job it carries: the open-loop pool's
+   jobs are bare requests, the closed loop's carry their client's
+   completion callback. *)
+type 'job worker = {
   bell : Memory.addr;
-  mutable slot : (Openloop.request * (unit -> unit)) option;
+  mutable slot : 'job option;
   mutable enlisted : bool;  (* an entry for this worker sits in [free] *)
   mutable lives : int;
 }
 
-let run_hw_pool_closed ?(pool_per_core = 64) ?timeout ?slo ?horizon ~clients
-    ~think cfg =
-  if clients <= 0 then
-    invalid_arg "Server.run_hw_pool_closed: clients must be positive";
+(* One world for both pool runners: [pool_per_core] hardware workers per
+   core, each parked in mwait on its own doorbell, and a dispatcher that
+   hands jobs from an inbox to free workers.  [source sim rng submit]
+   starts the request stream, which feeds jobs in through [submit];
+   [complete] runs on the worker once a job's service is done.  Returns
+   the sim, run to quiescence (or to [horizon]), and [source]'s result. *)
+let run_pool ?(pool_per_core = 64) ?horizon cfg ~request ~complete ~source =
   let sim = Sim.create () in
   let chip = Chip.create sim cfg.params ~cores:cfg.cores in
   let memory = Chip.memory chip in
@@ -125,10 +115,10 @@ let run_hw_pool_closed ?(pool_per_core = 64) ?timeout ?slo ?horizon ~clients
           Sim.set_daemon true;
           (* The body doubles as the cold-restart boot path.  Arm first —
              a bell rung before MONITOR executes is architecturally
-             lost — then requeue any request orphaned by a crash-stop
-             (died mid-request, or assigned into the dead window) so the
-             closed loop's conservation law survives, and rejoin the free
-             pool unless our entry is still queued there. *)
+             lost — then requeue any job orphaned by a crash-stop (died
+             mid-request, or assigned into the dead window) so request
+             conservation survives, and rejoin the free pool unless our
+             entry is still queued there. *)
           Isa.monitor th worker.bell;
           worker.lives <- worker.lives + 1;
           if worker.lives > 1 then Sl_util.Recovery.bump "server.crash_restart";
@@ -145,10 +135,10 @@ let run_hw_pool_closed ?(pool_per_core = 64) ?timeout ?slo ?horizon ~clients
           let rec serve () =
             let _ = Isa.mwait th in
             (match worker.slot with
-            | Some (req, complete) ->
+            | Some job ->
               worker.slot <- None;
-              Isa.exec th req.Openloop.service_cycles;
-              complete ();
+              Isa.exec th (request job).Openloop.service_cycles;
+              complete job;
               worker.enlisted <- true;
               Mailbox.send free worker
             | None -> ());
@@ -158,30 +148,60 @@ let run_hw_pool_closed ?(pool_per_core = 64) ?timeout ?slo ?horizon ~clients
       Chip.boot th
     done
   done;
+  (* Dispatch: hardware steering (smartNIC-style) — pick a parked worker
+     and ring its doorbell; jobs queue when the pool is exhausted.  The
+     dispatcher parks by design when the pool is exhausted, and it is
+     unbounded on purpose: crash-stop requeues can push dispatches past
+     [cfg.count]. *)
   Sim.spawn sim (fun () ->
-      (* Like the pool workers, the dispatcher parks by design when the
-         pool is exhausted; under injected faults wedged workers never
-         return to [free], and the clients' timeouts — not the
-         dispatcher — carry liveness.  Unbounded on purpose: crash-stop
-         requeues can push dispatches past [cfg.count]. *)
       Sim.set_daemon true;
       while true do
-        let (req, _) as job = Mailbox.recv inbox in
+        let job = Mailbox.recv inbox in
         let worker = Mailbox.recv free in
         (* No yield between the pop and the bell write, so a restarting
            worker always observes either (enlisted, no slot) or
            (assigned, slot set) — never the half-claimed state. *)
         worker.enlisted <- false;
         worker.slot <- Some job;
-        Memory.write memory worker.bell (Int64.of_int req.Openloop.req_id)
+        Memory.write memory worker.bell (Int64.of_int (request job).Openloop.req_id)
       done);
-  let rng = Sl_util.Rng.create cfg.seed in
-  let cl =
-    Closedloop.start ?timeout ?slo sim rng ~clients ~think ~service:cfg.service
-      ~count:cfg.count
-      ~submit:(fun req ~complete -> Mailbox.send inbox (req, complete))
-  in
+  let src = source sim (Sl_util.Rng.create cfg.seed) (Mailbox.send inbox) in
   Sim.run ?until:horizon sim;
+  (sim, src)
+
+let run_hw_pool ?pool_per_core cfg =
+  let r = recorder () in
+  let sim, () =
+    run_pool ?pool_per_core cfg ~request:Fun.id ~complete:(record r)
+      ~source:(fun sim rng sink ->
+        Openloop.run sim rng
+          ~interarrival:(Openloop.poisson ~rate_per_kcycle:cfg.rate_per_kcycle)
+          ~service:cfg.service ~count:cfg.count ~sink)
+  in
+  finish r ~sim ~switch_overhead:0.0
+
+(* --- closed-loop clients against the hardware pool ----------------------- *)
+
+type closed_stats = {
+  clients : int;
+  issued : int;
+  finished : int;
+  c_timed_out : int;
+  lat : Latency.summary;
+  wall_cycles : int;
+}
+
+let run_hw_pool_closed ?pool_per_core ?timeout ?slo ?horizon ~clients ~think cfg =
+  if clients <= 0 then
+    invalid_arg "Server.run_hw_pool_closed: clients must be positive";
+  let sim, cl =
+    run_pool ?pool_per_core ?horizon cfg ~request:fst
+      ~complete:(fun (_, complete) -> complete ())
+      ~source:(fun sim rng submit ->
+        Closedloop.start ?timeout ?slo sim rng ~clients ~think ~service:cfg.service
+          ~count:cfg.count
+          ~submit:(fun req ~complete -> submit (req, complete)))
+  in
   {
     clients;
     issued = Closedloop.issued cl;
@@ -190,81 +210,3 @@ let run_hw_pool_closed ?(pool_per_core = 64) ?timeout ?slo ?horizon ~clients
     lat = Latency.summarize (Closedloop.latency cl) ~elapsed:(Sim.time sim);
     wall_cycles = Sim.time sim;
   }
-
-let run_hw_pool ?(pool_per_core = 64) cfg =
-  let sim = Sim.create () in
-  let chip = Chip.create sim cfg.params ~cores:cfg.cores in
-  let memory = Chip.memory chip in
-  let latencies = Histogram.create () in
-  let slowdowns = ref [] in
-  let free = Mailbox.create () in
-  let inbox = Mailbox.create () in
-  (* Build the worker pool: each worker parks in mwait on its doorbell. *)
-  for core = 0 to cfg.cores - 1 do
-    for i = 0 to pool_per_core - 1 do
-      let ptid = (core * 1024) + i + 1 in
-      let worker =
-        {
-          doorbell = Memory.alloc memory 1;
-          slot_request = None;
-          hw_enlisted = false;
-          hw_lives = 0;
-        }
-      in
-      let th = Chip.add_thread chip ~core ~ptid ~mode:Ptid.User () in
-      Chip.attach th (fun th ->
-          (* Boot path doubles as crash recovery (see run_hw_pool_closed):
-             arm, requeue an orphaned request, rejoin the free pool. *)
-          Isa.monitor th worker.doorbell;
-          (* Join the free pool only once the monitor is armed — a
-             doorbell rung before MONITOR executes is architecturally
-             lost (same order as run_hw_pool_closed). *)
-          worker.hw_lives <- worker.hw_lives + 1;
-          if worker.hw_lives > 1 then
-            Sl_util.Recovery.bump "server.crash_restart";
-          (match worker.slot_request with
-          | Some req ->
-            worker.slot_request <- None;
-            Sl_util.Recovery.bump "server.crash_requeue";
-            Mailbox.send inbox req
-          | None -> ());
-          if not worker.hw_enlisted then begin
-            worker.hw_enlisted <- true;
-            Mailbox.send free worker
-          end;
-          let rec serve () =
-            let _ = Isa.mwait th in
-            (match worker.slot_request with
-            | Some req ->
-              worker.slot_request <- None;
-              Isa.exec th req.Openloop.service_cycles;
-              record latencies slowdowns req;
-              worker.hw_enlisted <- true;
-              Mailbox.send free worker
-            | None -> ());
-            serve ()
-          in
-          serve ());
-      Chip.boot th
-    done
-  done;
-  (* Dispatch: hardware steering (smartNIC-style) — pick a parked worker
-     and ring its doorbell; requests queue when the pool is exhausted.
-     Unbounded so crash-stop requeues still reach a worker after the
-     first [cfg.count] dispatches. *)
-  Sim.spawn sim (fun () ->
-      Sim.set_daemon true;
-      while true do
-        let req = Mailbox.recv inbox in
-        let worker = Mailbox.recv free in
-        worker.hw_enlisted <- false;
-        worker.slot_request <- Some req;
-        Memory.write memory worker.doorbell (Int64.of_int req.Openloop.req_id)
-      done);
-  let rng = Sl_util.Rng.create cfg.seed in
-  Openloop.run sim rng
-    ~interarrival:(Openloop.poisson ~rate_per_kcycle:cfg.rate_per_kcycle)
-    ~service:cfg.service ~count:cfg.count
-    ~sink:(fun req -> Mailbox.send inbox req);
-  Sim.run sim;
-  finish ~sim ~latencies ~slowdowns ~switch_overhead:0.0

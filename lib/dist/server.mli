@@ -37,6 +37,19 @@ type config = {
   count : int;
 }
 
+type recorder
+(** Per-request sojourn and slowdown accumulator shared by every server
+    design (and by {!Sched_policy}). *)
+
+val recorder : unit -> recorder
+
+val record : recorder -> Sl_workload.Openloop.request -> unit
+(** Record a request completing now: its sojourn since arrival and its
+    slowdown (sojourn / service demand, demand floored at 1 cycle). *)
+
+val finish : recorder -> sim:Sl_engine.Sim.t -> switch_overhead:float -> stats
+(** Snapshot the recorder as {!stats}, elapsed time read from [sim]. *)
+
 val run_software : ?quantum:Sl_engine.Sim.Time.t -> config -> stats
 
 val run_hw_pool : ?pool_per_core:int -> config -> stats
@@ -71,13 +84,16 @@ val run_hw_pool_closed :
     rate, only a population.  [timeout]/[slo] forward to
     {!Sl_workload.Closedloop.start}.
 
-    Both pool runners survive injected crash-stops: a worker's body is its
-    own boot path, so a cold restart re-arms the doorbell monitor,
-    requeues any request orphaned in its slot (counted under the
-    [server.crash_requeue] recovery site) and rejoins the free pool —
-    request conservation ([issued = finished + timed_out] here, completed
-    = count in {!run_hw_pool}) holds across arbitrary crash schedules as
-    long as clients carry a [timeout].  [horizon], when given, bounds the
+    Both pool runners share one worker body and one dispatcher; they
+    differ only in the request source and the completion callback.  The
+    workers and the dispatcher are daemons ({!Sl_engine.Sim.set_daemon}):
+    they park by design once the stream ends.  A worker survives injected
+    crash-stops because its body is its own boot path: a cold restart
+    re-arms the doorbell monitor, requeues any request orphaned in its
+    slot (counted under the [server.crash_requeue] recovery site) and
+    rejoins the free pool.  Request conservation ([issued = finished +
+    timed_out] here, completed = count in {!run_hw_pool}) holds across
+    arbitrary crash schedules as long as clients carry a [timeout].  [horizon], when given, bounds the
     simulated time ([Sl_engine.Sim.run ~until]) so a fault schedule that
     wedges the pool returns with the shortfall visible in the counts
     instead of hanging the explorer. *)

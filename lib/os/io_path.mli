@@ -1,21 +1,33 @@
-(** I/O event delivery, three ways (§2 "No More Interrupts" / "Fast I/O
-    without Inefficient Polling").
+(** I/O event delivery: wake design × workload (§2 "No More Interrupts" /
+    "Fast I/O without Inefficient Polling").
 
-    Each runner builds a complete world — one core, a NIC, an open-loop
-    Poisson packet stream — processes [count] packets with
-    [per_packet_work] cycles each, and reports per-packet latency
-    (arrival at the device → processing complete) plus a cycle-accounting
-    breakdown:
+    Every run builds one world — one core, a NIC, an open-loop packet
+    stream, an optional best-effort background job — and differs only in
+    the {!design} that serves the stream:
 
-    - {!run_mwait}: a hardware thread monitors the RX tail and sleeps in
-      [mwait]; the tail DMA write wakes it (the paper's design).
-    - {!run_polling}: a thread spins on the RX queue, burning [Poll]
-      cycles whenever the queue is empty (the kernel-bypass status quo).
-    - {!run_interrupt}: the NIC raises a legacy IRQ; the handler runs the
-      scheduler to wake a blocked software thread (the kernel status quo).
+    {v
+    design          serving thread            woken by
+    --------------  ------------------------  ---------------------------------
+    Mwait           hw thread, mwait on tail  the RX tail DMA write (the paper)
+    Mwait_hardened  same, deadline waits      tail write; timeouts, polling
+                                              fallback, optional watchdog
+    Mwait_rss q     one hw thread per queue   its queue's tail write (§4 RSS)
+    Polling         hw thread spinning        nothing: burns Poll cycles
+    Irq_wake        sw thread (scheduler)     IRQ handler rings it; it drains
+    Irq_napi        sw thread (scheduler)     one IRQ, masked until queue dry
+    Irq_deliver     sw thread (scheduler)     each IRQ hands it one packet
+    Flexsc          kernel worker, batching   first posted entry + batch window
+    v}
 
-    An optional background batch job soaks up spare cycles, so the runs
-    also show whether the design lets other work proceed (the paper's
+    and the {e workload} it serves: {!config} (Poisson arrivals, constant
+    per-packet work, optional background job) through {!run}, or
+    {!load_config} (any arrival process, sampled service demand, an SLO)
+    through {!run_load}.  The fixed-count shape is the open-loop one with
+    [Arrivals.poisson] and [Dist.Constant]: same RNG stream, same run.
+
+    Each run reports per-packet latency (arrival at the device →
+    processing complete) plus a cycle-accounting breakdown; the background
+    job shows whether the design lets other work proceed (the paper's
     co-location argument). *)
 
 type stats = {
@@ -32,6 +44,44 @@ type stats = {
 val wasted_fraction : stats -> float
 (** (poll + overhead) / (useful + poll + overhead). *)
 
+type design =
+  | Mwait
+      (** A hardware thread monitors the RX tail and sleeps in [mwait];
+          the tail DMA write wakes it. *)
+  | Mwait_hardened
+      (** {!Mwait} with default hardening; see {!run_mwait_hardened}. *)
+  | Mwait_rss of int
+      (** Multi-queue (§4's smartNIC steering): the NIC spreads packets
+          over this many RX queues by flow hash and one hardware thread
+          parks on each queue's tail — per-flow service parallelism with
+          no software dispatcher.  The count must be positive. *)
+  | Polling
+      (** A thread spins on the RX queue, burning 20 [Poll] cycles per
+          empty check (the kernel-bypass status quo). *)
+  | Irq_wake
+      (** The NIC raises a legacy IRQ; the handler runs the scheduler to
+          wake the blocked software thread, which drains the queue (the
+          kernel status quo). *)
+  | Irq_napi
+      (** Linux-NAPI-style coalescing: the first packet raises an IRQ,
+          which masks further interrupts; the thread drains the queue and
+          re-enables interrupts only when it runs dry.  The fairest
+          conventional baseline at high load. *)
+  | Irq_deliver
+      (** A packet is invisible to the blocked thread until its hardirq
+          has run: the handler pulls the descriptor, runs the scheduler
+          and publishes the packet to the thread's backlog.  One IRQ per
+          packet, serialized on the IRQ context, so the delivery path
+          itself caps throughput and the knee arrives earlier than under
+          {!Irq_wake}, whose thread drains everything pending per wake. *)
+  | Flexsc
+      (** FlexSC-style exception-less serving: requests are posted to a
+          shared page and a kernel worker wakes per batch, runs the
+          accumulated requests back-to-back after a 500-cycle batch
+          window — no per-request notification, so its mechanism tax is
+          pure delay.  No NIC: [dropped] is 0.  Runs no background job:
+          [run] raises [Invalid_argument] when [background] is set. *)
+
 type config = {
   params : Switchless.Params.t;
   seed : int64;
@@ -43,67 +93,16 @@ type config = {
 
 val default_config : config
 
-val run_mwait : config -> stats
-val run_polling : ?poll_gap:Sl_engine.Sim.Time.t -> config -> stats
-val run_interrupt : config -> stats
-
-(** {2 Failure-hardened delivery} *)
-
-type hardened_stats = {
-  base : stats;
-  dma_dropped : int;  (** Packets lost to injected descriptor-DMA drops. *)
-  mwait_timeouts : int;  (** mwait deadline expiries (incl. pure idleness). *)
-  missed_wakeups : int;  (** Expiries that found data already pending. *)
-  fallbacks : int;  (** mwait → polling degradations. *)
-  recoveries : int;  (** polling → mwait restorations. *)
-  watchdog_sweeps : int;
-  watchdog_nudges : int;
-}
-
-val run_mwait_hardened :
-  ?wait_budget:Sl_engine.Sim.Time.t -> ?miss_threshold:int -> ?poll_recovery_checks:int ->
-  ?poll_gap:Sl_engine.Sim.Time.t -> ?with_watchdog:bool ->
-  ?horizon:Sl_engine.Sim.Time.t -> config -> hardened_stats
-(** {!run_mwait} that survives a faulty wakeup substrate.  The network
-    thread waits with {!Switchless.Isa.mwait_for} ([wait_budget] cycles,
-    default 20_000); a timeout that finds data pending is a missed
-    wakeup, and after [miss_threshold] (default 3) consecutive misses the
-    thread degrades to polling — paying [poll_gap] cycles per empty check
-    like {!run_polling} — until [poll_recovery_checks] (default 64)
-    consecutive empty checks suggest the storm has passed and it returns
-    to mwait.  Packets lost to injected descriptor-DMA or ring-full drops
-    are counted towards completion, so the run terminates even when
-    requests vanish.  Progress survives crash-stops: a cold-restarted
-    network thread re-arms its monitor and resumes from the shared
-    processed count.  [with_watchdog] (default false) additionally runs a
-    {!Watchdog} thread on the same core.  [horizon], when given, bounds
-    the simulated time ([Sl_engine.Sim.run ~until]) so a run wedged by an
-    injected fault schedule returns — with the shortfall visible in its
-    counts — instead of spinning forever; the explorer's no-stuck-sim
-    oracle depends on it. *)
-
-val run_interrupt_napi : config -> stats
-(** Linux-NAPI-style coalescing: the first packet raises an IRQ, which
-    masks further interrupts and schedules a poll loop; the network
-    thread drains the queue and only re-enables interrupts when it runs
-    dry.  The fairest conventional baseline at high load. *)
-
-val run_mwait_rss : queues:int -> config -> stats
-(** Multi-queue variant (§4's smartNIC steering): the NIC spreads packets
-    over [queues] RX queues by flow hash and one hardware thread parks on
-    each queue's tail — per-flow service parallelism with no software
-    dispatcher anywhere. *)
+val run : design -> config -> stats
+(** [run design cfg] serves [cfg.count] packets with [cfg.per_packet_work]
+    cycles each, arriving as a Poisson stream. *)
 
 (** {2 Load sweeps: per-request service demand + SLO accounting (E16)}
 
-    The three delivery designs above assume a constant per-packet cost;
-    these variants draw each request's service demand from a distribution
-    (the Shinjuku/Shenango heavy-tail methodology) and report SLO-aware
-    latency summaries, so an offered-load sweep can locate each design's
-    saturation knee.  A fourth design joins the comparison: FlexSC-style
-    exception-less batching, where requests are posted to a shared page
-    and a kernel worker drains them one batch window at a time — no
-    per-request notification, so its mechanism tax is pure delay. *)
+    The same designs with each request's service demand drawn from a
+    distribution (the Shinjuku/Shenango heavy-tail methodology) and
+    SLO-aware latency summaries, so an offered-load sweep can locate each
+    design's saturation knee.  No background job. *)
 
 type load_config = {
   params : Switchless.Params.t;
@@ -124,23 +123,55 @@ val default_load_config : load_config
 (** Poisson at 0.25/kcycle, exponential 2000-cycle service (offered load
     0.5 of a single serving pipe), 10 µs SLO (30 000 cycles @ 3 GHz). *)
 
-val run_load_mwait : load_config -> load_stats
-(** The paper's design under sampled service demand: a hardware thread
-    parks in mwait on the RX tail. *)
+val run_load : design -> load_config -> load_stats
 
-val run_load_polling : ?poll_gap:Sl_engine.Sim.Time.t -> load_config -> load_stats
-(** Kernel-bypass spinning, [poll_gap] (default 20) cycles per empty check. *)
+(** The four designs E16 and perfbench's io-openloop workload compare. *)
+
+val run_load_mwait : load_config -> load_stats
+(** [run_load Mwait]. *)
+
+val run_load_polling : load_config -> load_stats
+(** [run_load Polling]. *)
 
 val run_load_interrupt : load_config -> load_stats
-(** IRQ + scheduler wakeup of a blocked software thread (the kernel
-    status quo): every wakeup serializes behind the IRQ context's
-    entry/handler/exit path, so the knee arrives earlier. *)
+(** [run_load Irq_deliver]. *)
 
-val run_load_flexsc : ?batch_window:Sl_engine.Sim.Time.t -> load_config -> load_stats
-(** FlexSC-style exception-less serving: arrivals are posted entries, a
-    kernel worker wakes per batch and runs the accumulated requests
-    back-to-back ([batch_window], default 500 cycles, of accumulation
-    delay per batch). *)
+val run_load_flexsc : load_config -> load_stats
+(** [run_load Flexsc]. *)
+
+(** {2 Failure-hardened delivery} *)
+
+type hardened_stats = {
+  base : stats;
+  dma_dropped : int;  (** Packets lost to injected descriptor-DMA drops. *)
+  mwait_timeouts : int;  (** mwait deadline expiries (incl. pure idleness). *)
+  missed_wakeups : int;  (** Expiries that found data already pending. *)
+  fallbacks : int;  (** mwait → polling degradations. *)
+  recoveries : int;  (** polling → mwait restorations. *)
+  watchdog_sweeps : int;
+  watchdog_nudges : int;
+}
+
+val run_mwait_hardened :
+  ?wait_budget:Sl_engine.Sim.Time.t -> ?miss_threshold:int -> ?with_watchdog:bool ->
+  ?horizon:Sl_engine.Sim.Time.t -> config -> hardened_stats
+(** [run Mwait_hardened] with its knobs and counters.  The network
+    thread waits with {!Switchless.Isa.mwait_for} ([wait_budget] cycles,
+    default 20_000); a timeout that finds data pending is a missed
+    wakeup, and after [miss_threshold] (default 3) consecutive misses the
+    thread degrades to polling — 20 cycles per empty check, like
+    {!Polling} — until 64 consecutive empty checks suggest the storm has
+    passed and it returns to mwait.  Packets lost to injected
+    descriptor-DMA or ring-full drops are counted towards completion, so
+    the run terminates even when requests vanish.  Progress survives
+    crash-stops: a cold-restarted network thread re-arms its monitor and
+    resumes from the shared processed count.  [with_watchdog] (default
+    false) additionally runs a {!Watchdog} thread on the same core.
+    [horizon], when given, bounds the simulated time
+    ([Sl_engine.Sim.run ~until]) so a run wedged by an injected fault
+    schedule returns — with the shortfall visible in its counts — instead
+    of spinning forever; the explorer's no-stuck-sim oracle depends on
+    it. *)
 
 (** {2 Timer-tick wakeups (the "no more interrupts" microbench)} *)
 

@@ -11,6 +11,7 @@ module Openloop = Sl_workload.Openloop
 module Server = Sl_dist.Server
 module Sched_policy = Sl_dist.Sched_policy
 module Rpc = Sl_dist.Rpc
+module Fault = Sl_fault.Fault
 
 let check_int = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
@@ -223,6 +224,32 @@ let test_run_hw_pool_closed_lifecycle () =
     (fun () ->
       ignore (Server.run_hw_pool_closed ~clients:0 ~think:(Dist.Constant 1.0) cfg))
 
+(* The open-loop pool loses no request to crash-stops: a restarted
+   worker requeues the job orphaned in its slot, so every request
+   completes however often workers die mid-park or at the wake
+   boundary. *)
+let test_run_hw_pool_survives_crashes () =
+  let cfg = mk_config ~seed:4L ~rate:0.3 ~service:(Dist.Exponential 800.0) ~count:300 in
+  List.iter
+    (fun spec ->
+      let plan =
+        match Fault.parse_spec spec with Ok p -> p | Error e -> Alcotest.fail e
+      in
+      let inj = Fault.create plan in
+      let stats = Fault.with_ambient inj (fun () -> Server.run_hw_pool ~pool_per_core:8 cfg) in
+      let crashes =
+        List.fold_left
+          (fun acc (site, n) -> if String.starts_with ~prefix:"crash." site then acc + n else acc)
+          0 (Fault.counts inj)
+      in
+      check_bool (spec ^ ": crashes injected") true (crashes > 0);
+      check_int (spec ^ ": completed") cfg.Server.count stats.Server.completed)
+    [
+      "seed=3,crash.park=0.1,crash.wake=0.1";
+      "seed=5,crash.park=0.2,crash.wake=0.2";
+      "seed=9,crash.park=0.3";
+    ]
+
 (* Closed loop self-throttles: doubling the population at saturation
    must not change the number of requests issued (fixed count), and a
    single client serializes perfectly. *)
@@ -261,6 +288,8 @@ let () =
             test_run_software_lifecycle;
           Alcotest.test_case "run_hw_pool lifecycle" `Quick
             test_run_hw_pool_lifecycle;
+          Alcotest.test_case "run_hw_pool survives crashes" `Quick
+            test_run_hw_pool_survives_crashes;
           Alcotest.test_case "run_hw_pool_closed lifecycle" `Quick
             test_run_hw_pool_closed_lifecycle;
           Alcotest.test_case "single client serializes" `Quick

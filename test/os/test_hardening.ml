@@ -223,7 +223,7 @@ let io_cfg =
   { Io_path.default_config with Io_path.count = 300; rate_per_kcycle = 0.5 }
 
 let test_hardened_io_matches_mwait_when_healthy () =
-  let plain = Io_path.run_mwait io_cfg in
+  let plain = Io_path.run Io_path.Mwait io_cfg in
   let hardened = Io_path.run_mwait_hardened io_cfg in
   check_int "same packets processed" plain.Io_path.processed
     hardened.Io_path.base.Io_path.processed;

@@ -18,28 +18,28 @@ let small_cfg =
   }
 
 let test_mwait_processes_everything () =
-  let s = Io_path.run_mwait small_cfg in
+  let s = Io_path.run Io_path.Mwait small_cfg in
   check_int "all packets" 300 s.Io_path.processed;
   check_int "no drops" 0 s.Io_path.dropped;
   check_bool "near-zero waste" true (Io_path.wasted_fraction s < 0.15)
 
 let test_polling_processes_everything_but_burns () =
-  let s = Io_path.run_polling small_cfg in
+  let s = Io_path.run Io_path.Polling small_cfg in
   check_int "all packets" 300 s.Io_path.processed;
   (* At ~25% load, a poller burns most of its cycles spinning. *)
   check_bool "heavy poll waste" true (Io_path.wasted_fraction s > 0.5);
   check_bool "poll cycles dominate waste" true (s.Io_path.poll_cycles > s.Io_path.overhead_cycles)
 
 let test_interrupt_processes_everything () =
-  let s = Io_path.run_interrupt small_cfg in
+  let s = Io_path.run Io_path.Irq_wake small_cfg in
   check_int "all packets" 300 s.Io_path.processed;
   check_bool "irq overhead visible" true (s.Io_path.overhead_cycles > 0.0)
 
 let test_latency_ranking_at_low_load () =
   let cfg = { small_cfg with Io_path.rate_per_kcycle = 0.05; count = 200 } in
-  let m = Io_path.run_mwait cfg in
-  let poll = Io_path.run_polling cfg in
-  let irq = Io_path.run_interrupt cfg in
+  let m = Io_path.run Io_path.Mwait cfg in
+  let poll = Io_path.run Io_path.Polling cfg in
+  let irq = Io_path.run Io_path.Irq_wake cfg in
   let p99 h = (Histogram.quantile h 0.99) in
   (* The paper's claim: mwait ≈ polling latency, both far below IRQ. *)
   check_bool
@@ -55,12 +55,12 @@ let test_latency_ranking_at_low_load () =
 
 let test_background_work_coexists_with_mwait () =
   let cfg = { small_cfg with Io_path.background = true; count = 200 } in
-  let s = Io_path.run_mwait cfg in
+  let s = Io_path.run Io_path.Mwait cfg in
   check_int "packets still served" 200 s.Io_path.processed;
   check_bool "background got cycles" true (s.Io_path.background_cycles > 0.0)
 
 let test_deterministic_runs () =
-  let a = Io_path.run_mwait small_cfg and b = Io_path.run_mwait small_cfg in
+  let a = Io_path.run Io_path.Mwait small_cfg and b = Io_path.run Io_path.Mwait small_cfg in
   Alcotest.(check int) "same elapsed" a.Io_path.elapsed_cycles b.Io_path.elapsed_cycles;
   Alcotest.(check int) "same p99"
     (Histogram.quantile a.Io_path.latencies 0.99)
@@ -68,8 +68,8 @@ let test_deterministic_runs () =
 
 let test_napi_reduces_waste () =
   let cfg = { small_cfg with Io_path.rate_per_kcycle = 1.2; count = 600 } in
-  let plain = Io_path.run_interrupt cfg in
-  let napi = Io_path.run_interrupt_napi cfg in
+  let plain = Io_path.run Io_path.Irq_wake cfg in
+  let napi = Io_path.run Io_path.Irq_napi cfg in
   check_int "napi processes all" 600 napi.Io_path.processed;
   check_bool
     (Printf.sprintf "napi waste %.2f < plain %.2f" (Io_path.wasted_fraction napi)
@@ -79,14 +79,14 @@ let test_napi_reduces_waste () =
 
 let test_napi_latency_floor_remains () =
   let cfg = { small_cfg with Io_path.rate_per_kcycle = 0.05; count = 200 } in
-  let napi = Io_path.run_interrupt_napi cfg in
+  let napi = Io_path.run Io_path.Irq_napi cfg in
   (* At low load every packet is "first of its burst": full IRQ path. *)
   check_bool "floor above 1500 cycles" true
     ((Histogram.quantile napi.Io_path.latencies 0.5) > 1500)
 
 let test_rss_scales_past_single_thread () =
   let cfg = { small_cfg with Io_path.rate_per_kcycle = 2.8; count = 800 } in
-  let rss = Io_path.run_mwait_rss ~queues:4 cfg in
+  let rss = Io_path.run (Io_path.Mwait_rss 4) cfg in
   check_int "rss processes all" 800 rss.Io_path.processed;
   check_int "no drops" 0 rss.Io_path.dropped;
   (* 2.8 pkts/kcycle is past one thread's 2.0 service limit; four queue
@@ -96,8 +96,8 @@ let test_rss_scales_past_single_thread () =
 
 let test_rss_single_queue_equals_mwait () =
   let cfg = { small_cfg with Io_path.count = 300 } in
-  let single = Io_path.run_mwait cfg in
-  let rss1 = Io_path.run_mwait_rss ~queues:1 cfg in
+  let single = Io_path.run Io_path.Mwait cfg in
+  let rss1 = Io_path.run (Io_path.Mwait_rss 1) cfg in
   Alcotest.(check int) "same p99"
     (Histogram.quantile single.Io_path.latencies 0.99)
     (Histogram.quantile rss1.Io_path.latencies 0.99)

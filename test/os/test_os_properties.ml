@@ -54,7 +54,7 @@ let prop_io_conservation =
           per_packet_work = 200;
         }
       in
-      let s = Io_path.run_mwait cfg in
+      let s = Io_path.run Io_path.Mwait cfg in
       s.Io_path.processed = count
       && s.Io_path.dropped = 0
       && Histogram.min_value s.Io_path.latencies >= 200)
@@ -75,10 +75,51 @@ let prop_designs_do_same_useful_work =
       in
       let expected = float_of_int count *. 300.0 in
       let close s = abs_float (s.Io_path.useful_cycles -. expected) < 2.0 *. float_of_int count in
-      close (Io_path.run_mwait cfg)
-      && close (Io_path.run_polling cfg)
-      && close (Io_path.run_interrupt cfg)
-      && close (Io_path.run_interrupt_napi cfg))
+      close (Io_path.run Io_path.Mwait cfg)
+      && close (Io_path.run Io_path.Polling cfg)
+      && close (Io_path.run Io_path.Irq_wake cfg)
+      && close (Io_path.run Io_path.Irq_napi cfg))
+
+(* Property 4: the fixed-count workload is the open-loop one with Poisson
+   arrivals and constant service — a [config] run and the matching
+   [load_config] run give the same elapsed time, cycle split and latency
+   distribution. *)
+let prop_fixed_count_is_poisson_constant =
+  QCheck.Test.make ~name:"fixed-count config = Poisson arrivals + constant service"
+    ~count:20
+    QCheck.(quad (int_range 0 1000) (int_range 1 30) (int_range 20 300) (int_range 100 1000))
+    (fun (seed, rate_tenths, count, work) ->
+      let rate = float_of_int rate_tenths /. 10.0 in
+      let cfg =
+        {
+          Io_path.default_config with
+          Io_path.seed = Int64.of_int seed;
+          count;
+          rate_per_kcycle = rate;
+          per_packet_work = work;
+        }
+      in
+      let load =
+        {
+          Io_path.default_load_config with
+          Io_path.seed = Int64.of_int seed;
+          arrivals = Sl_workload.Arrivals.poisson ~rate_per_kcycle:rate;
+          service = Sl_util.Dist.Constant (float_of_int work);
+          count;
+        }
+      in
+      let same design =
+        let a = Io_path.run design cfg in
+        let b = (Io_path.run_load design load).Io_path.io in
+        let q s p = Histogram.quantile s.Io_path.latencies p in
+        a.Io_path.elapsed_cycles = b.Io_path.elapsed_cycles
+        && a.Io_path.processed = b.Io_path.processed
+        && a.Io_path.useful_cycles = b.Io_path.useful_cycles
+        && a.Io_path.poll_cycles = b.Io_path.poll_cycles
+        && a.Io_path.overhead_cycles = b.Io_path.overhead_cycles
+        && List.for_all (fun p -> q a p = q b p) [ 0.0; 0.5; 0.99; 1.0 ]
+      in
+      same Io_path.Mwait && same Io_path.Polling)
 
 let () =
   let qsuite =
@@ -87,6 +128,7 @@ let () =
         prop_channel_serves_all_clients;
         prop_io_conservation;
         prop_designs_do_same_useful_work;
+        prop_fixed_count_is_poisson_constant;
       ]
   in
   Alcotest.run "os_properties" [ ("properties", qsuite) ]
