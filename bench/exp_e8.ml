@@ -144,6 +144,8 @@ let wake_sweep ~pin_first ~prefetch n =
   for i = 0 to n - 1 do
     let th = Chip.add_thread chip ~core:0 ~ptid:(i + 1) ~mode:Ptid.User () in
     Chip.attach th (fun t ->
+        (* Parks in mwait forever by design: not a deadlock suspect. *)
+        Sim.set_daemon true;
         Isa.monitor t doorbells.(i);
         let rec loop () =
           let _ = Isa.mwait t in

@@ -631,32 +631,6 @@ let explore_cmd =
       const run $ seed $ scenario $ trials $ max_shrink $ max_seconds $ out
       $ expect_repros)
 
-let lint_cmd =
-  let roots =
-    Arg.(
-      value
-      & pos_all string [ "lib" ]
-      & info [] ~docv:"DIR" ~doc:"Source roots to scan (default: lib).")
-  in
-  let run roots =
-    let issues =
-      try List.concat_map Sl_analysis.Lint.scan_tree roots with
-      | Sys_error msg ->
-        Printf.eprintf "lint: %s\n" msg;
-        exit 2
-    in
-    List.iter (fun i -> print_endline (Sl_analysis.Lint.to_string i)) issues;
-    match issues with
-    | [] -> print_endline "lint: no issues"
-    | _ :: _ -> exit 1
-  in
-  Cmd.v
-    (Cmd.info "lint"
-       ~doc:
-         "Determinism/style lint: no wall-clock or entropy in lib, no printing \
-          outside util, every module has an interface.")
-    Term.(const run $ roots)
-
 let check_cmd =
   let module S = Sl_staticcheck in
   let roots =
@@ -718,8 +692,8 @@ let check_cmd =
        ~doc:
          "Typed static analysis over the compiled typedtrees: \
           arm-before-park/register protocol, domain-safety of top-level \
-          state, determinism/print hygiene, and the [@@sl.zero_alloc] \
-          allocation budget.")
+          state, determinism/print hygiene, the [@@sl.zero_alloc] \
+          allocation budget, and an interface for every module.")
     Term.(const run $ roots $ allow $ report_file)
 
 let () =
@@ -743,6 +717,5 @@ let () =
             netstack_cmd;
             vm_cmd;
             explore_cmd;
-            lint_cmd;
             check_cmd;
           ]))

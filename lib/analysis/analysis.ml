@@ -1,6 +1,5 @@
 open Switchless
 module Sim = Sl_engine.Sim
-module Trace = Sl_engine.Trace
 
 type config = { check_reads : bool; max_findings : int; trace_capacity : int }
 
@@ -11,7 +10,13 @@ type counts = { mutable total : int; mutable tracked : int }
 type t = {
   chip : Chip.t;
   config : config;
-  trace : Trace.t;
+  (* The last [trace_capacity] probe events and their times, a ring
+     written at [ring_next]; only the [ring_len] newest slots are live.
+     Events are rendered only when a finding needs them as context. *)
+  ring_time : Sim.Time.t array;
+  ring_ev : Probe.event array;
+  mutable ring_next : int;
+  mutable ring_len : int;
   writes : (Memory.addr, counts) Hashtbl.t;
   seen : (string, unit) Hashtbl.t;
   mutable findings_rev : Report.finding list;
@@ -35,8 +40,12 @@ let addr_writes t addr =
   | None -> (0, 0)
   | Some c -> (c.total, c.tracked)
 
+(* The live ring slots, oldest first. *)
 let context t =
-  List.map (fun (time, msg) -> Printf.sprintf "t=%d %s" time msg) (Trace.events t.trace)
+  let cap = Array.length t.ring_ev in
+  List.init t.ring_len (fun i ->
+      let j = (t.ring_next - t.ring_len + i + cap) mod cap in
+      Format.asprintf "t=%d %a" t.ring_time.(j) Probe.pp t.ring_ev.(j))
 
 let record t ~rule ~key ~message =
   if not (Hashtbl.mem t.seen key) then begin
@@ -60,7 +69,10 @@ let record t ~rule ~key ~message =
 let store_check_period = 4096
 
 let on_probe_event t ev =
-  Trace.recordf t.trace (Chip.sim t.chip) "%s" (Format.asprintf "%a" Probe.pp ev);
+  t.ring_time.(t.ring_next) <- Sim.time (Chip.sim t.chip);
+  t.ring_ev.(t.ring_next) <- ev;
+  t.ring_next <- (t.ring_next + 1) mod Array.length t.ring_ev;
+  if t.ring_len < Array.length t.ring_ev then t.ring_len <- t.ring_len + 1;
   (match ev with
   | Probe.Mem_write { addr; _ } -> (counts_for t addr).tracked <- (counts_for t addr).tracked + 1
   | _ -> ());
@@ -71,11 +83,17 @@ let on_probe_event t ev =
     match t.sanitizer with Some s -> Sanitizer.check_stores s | None -> ()
 
 let enable ?(config = default_config) chip =
+  if config.trace_capacity <= 0 then
+    invalid_arg "Analysis.enable: trace_capacity must be positive";
   let t =
     {
       chip;
       config;
-      trace = Trace.create ~capacity:config.trace_capacity ();
+      ring_time = Array.make config.trace_capacity 0;
+      (* Placeholder events, never rendered: see [context]. *)
+      ring_ev = Array.make config.trace_capacity (Probe.Mwait_parked { ptid = -1 });
+      ring_next = 0;
+      ring_len = 0;
       writes = Hashtbl.create 256;
       seen = Hashtbl.create 64;
       findings_rev = [];

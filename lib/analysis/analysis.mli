@@ -25,7 +25,10 @@ type config = {
           clock and only write-write races are reported.  See
           {!Race_detector}. *)
   max_findings : int;  (** Stop recording past this many (still counted). *)
-  trace_capacity : int;  (** Probe events kept as context for findings. *)
+  trace_capacity : int;
+      (** Probe events kept as context for findings (positive): a
+          finding's context is the last [trace_capacity] events, oldest
+          first, one ["t=TIME EVENT"] line each. *)
 }
 
 val default_config : config
@@ -34,7 +37,8 @@ type t
 
 val enable : ?config:config -> Chip.t -> t
 (** Install the probe and a memory write hook on the chip.  Replaces any
-    previously installed probe. *)
+    previously installed probe.  Raises [Invalid_argument] when
+    [trace_capacity] is not positive. *)
 
 val finish : t -> Report.finding list
 (** Run end-of-simulation checks (deadlock, state-store audit), detach

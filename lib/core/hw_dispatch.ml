@@ -72,6 +72,9 @@ let submit t payload =
   | None -> Queue.push payload t.pending
 
 let worker_loop t th handle =
+  (* Workers park in mwait between items by design: not deadlock
+     suspects. *)
+  Sim.set_daemon true;
   let worker =
     { thread = th; doorbell = Memory.alloc (Chip.memory t.chip) 1; slot = 0L }
   in

@@ -35,7 +35,8 @@ val worker_loop : t -> Chip.thread -> (int64 -> unit) -> unit
 (** [worker_loop t th handle] is the body of a worker thread: forever
     fetch the next item (parking in mwait when the queue is dry) and run
     [handle item].  Call it from the thread's attached body; boot the
-    thread to begin. *)
+    thread to begin.  The calling process becomes a daemon
+    ({!Sl_engine.Sim.set_daemon}): a parked worker is idle, not stuck. *)
 
 val submit : t -> int64 -> unit
 (** Enqueue one work item.  Callable from any process or callback (it is

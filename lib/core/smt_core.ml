@@ -31,11 +31,12 @@ let kind_index = function Useful -> 0 | Poll -> 1 | Overhead -> 2
    array is O(currently runnable) instead.
 
    Determinism: per-job service is computed independently of scratch
-   order, rates are exact for the weight values experiments use, and the
-   completion path below falls back to the legacy [Hashtbl.fold] order
-   whenever more than one job finishes in the same advance — so event
-   sequencing and every reported statistic match the pre-wheel engine
-   byte for byte (checked by the -j1/-j4 full-suite byte-compare). *)
+   order, and rates are exact for the weight values experiments use.
+   Jobs that finish in the same advance resume in serve-loop order (the
+   active scratch walked from the back), completed where the loop finds
+   them: that order is a function of the runnable array's history alone,
+   so reruns sequence events identically at any [-j], and completing
+   allocates nothing. *)
 type t = {
   sim : Sim.t;
   params : Params.t;
@@ -54,19 +55,6 @@ type t = {
      so a completion can never fire before its process is parked. *)
   mutable j_proc : Sim.proc array;  (* [Sim.no_proc] = nobody parked *)
   mutable njobs : int;
-  (* What is left of the old [(ptid, job) Hashtbl]: the order its
-     [fold] visited jobs in, which fixes the relative completion order of
-     simultaneous completions and with it every downstream event.  That
-     fold walks buckets in index order, newest insert first within a
-     bucket (a resize keeps each bucket's relative order), so the order
-     follows from the job's bucket under the table's current size and
-     its insert stamp.  [j_stamp.(s)] is written by [execute] from
-     [next_stamp]; [jbuckets] replays the table's growth (created with
-     64 buckets, doubled on an insert that makes the size exceed twice
-     the bucket count, never shrunk; its size is [njobs]). *)
-  mutable j_stamp : int array;
-  mutable next_stamp : int;
-  mutable jbuckets : int;
   mutable rpos : int array;  (* slot -> index in rslot/rweight; -1 *)
   mutable rslot : int array;  (* runnable slots, compact prefix [0, rcount) *)
   mutable rweight : float array;  (* weight of rslot.(i) *)
@@ -86,12 +74,9 @@ type t = {
      box a fresh float on every store. *)
   fl : float array;
   work : float array;  (* indexed by kind *)
-  (* Billing, dense by slot; [border] shadows the old billing Hashtbl's
-     insertion history (ptid keys) so [billed_threads] lists threads in
-     the legacy fold order. *)
+  (* Billing, dense by slot. *)
   mutable b_cycles : float array;
   mutable b_flag : int array;  (* 1 = has a billing entry *)
-  border : (int, int) Hashtbl.t;
   (* Scratch state for the active set; valid between [collect_active] and
      the end of the computation using it. *)
   mutable sslot : int array;
@@ -99,10 +84,6 @@ type t = {
   mutable srate : float array;
   mutable scapped : bool array;
   mutable scount : int;
-  (* Scratch for a multi-finish [advance]: the finished slots and their
-     legacy buckets, sorted together (see [resumes_before]). *)
-  mutable fslot : int array;
-  mutable fbucket : int array;
   (* Fast-path bookkeeping for [reschedule].  With every job runnable
      ([frozen = 0]) and every runnable weight exactly 1.0 ([nonunit = 0]),
      processor sharing degenerates to rate [min(1, width/n)] for all n
@@ -139,9 +120,6 @@ let create sim params ~core_id =
     j_rem = Array.make 16 0.0;
     j_proc = Array.make 16 Sim.no_proc;
     njobs = 0;
-    j_stamp = Array.make 16 0;
-    next_stamp = 0;
-    jbuckets = 64;
     rpos = Array.make 16 (-1);
     rslot = Array.make 16 0;
     rweight = Array.make 16 0.0;
@@ -156,14 +134,11 @@ let create sim params ~core_id =
     work = Array.make 3 0.0;
     b_cycles = Array.make 16 0.0;
     b_flag = Array.make 16 0;
-    border = Hashtbl.create 64;
     sslot = Array.make 16 0;
     sweight = Array.make 16 0.0;
     srate = Array.make 16 0.0;
     scapped = Array.make 16 false;
     scount = 0;
-    fslot = Array.make 16 0;
-    fbucket = Array.make 16 0;
     frozen = 0;
     nonunit = 0;
     min_valid = false;
@@ -186,7 +161,6 @@ let ensure_slot t slot =
     t.j_kind <- grow t.j_kind (-1);
     t.j_rem <- grow t.j_rem 0.0;
     t.j_proc <- grow t.j_proc Sim.no_proc;
-    t.j_stamp <- grow t.j_stamp 0;
     t.rpos <- grow t.rpos (-1);
     t.b_cycles <- grow t.b_cycles 0.0;
     t.b_flag <- grow t.b_flag 0
@@ -252,9 +226,7 @@ let ensure_scratch t n =
     t.sslot <- Array.make cap 0;
     t.sweight <- Array.make cap 0.0;
     t.srate <- Array.make cap 0.0;
-    t.scapped <- Array.make cap false;
-    t.fslot <- Array.make cap 0;
-    t.fbucket <- Array.make cap 0
+    t.scapped <- Array.make cap false
   end
 
 (* Fill the scratch arrays with the runnable slots holding in-flight jobs
@@ -332,67 +304,21 @@ let compute_rates t =
   end
 
 let[@inline] bill t slot served =
-  if t.b_flag.(slot) = 0 then begin
-    t.b_flag.(slot) <- 1;
-    Hashtbl.replace t.border t.s_ptid.(slot) slot
-  end;
+  t.b_flag.(slot) <- 1;
   t.b_cycles.(slot) <- t.b_cycles.(slot) +. served
 
 let remove_job t slot =
   t.j_kind.(slot) <- -1;
   t.njobs <- t.njobs - 1
 
-(* Wake the process parked on [slot]'s completion (the old [Ivar.fill]).
-   Call only after [remove_job], mirroring the original fill-after-remove
-   ordering. *)
+(* Wake the process parked on [slot]'s completion.  Call only after
+   [remove_job]: the woken process may [execute] again. *)
 let complete t slot =
   let p = t.j_proc.(slot) in
   if p != Sim.no_proc then begin
     t.j_proc.(slot) <- Sim.no_proc;
     Sim.wake t.sim p
   end
-[@@sl.zero_alloc]
-
-(* Whether finished entry [i] ([fslot.(i)], legacy bucket
-   [fbucket.(i)]) resumes before entry [j]: the original engine resumed
-   simultaneous completions in its [Hashtbl.fold] order reversed by the
-   fold's cons — buckets from last to first, oldest insert first within
-   a bucket. *)
-let[@inline] resumes_before t i j =
-  let bi = t.fbucket.(i) and bj = t.fbucket.(j) in
-  bi > bj || (bi = bj && t.j_stamp.(t.fslot.(i)) < t.j_stamp.(t.fslot.(j)))
-
-let swap_finished t i j =
-  let s = t.fslot.(i) and b = t.fbucket.(i) in
-  t.fslot.(i) <- t.fslot.(j);
-  t.fbucket.(i) <- t.fbucket.(j);
-  t.fslot.(j) <- s;
-  t.fbucket.(j) <- b
-[@@sl.zero_alloc]
-
-let rec sift_finished t i n =
-  let l = (2 * i) + 1 in
-  if l < n then begin
-    let m = if l + 1 < n && resumes_before t l (l + 1) then l + 1 else l in
-    if resumes_before t i m then begin
-      swap_finished t i m;
-      sift_finished t m n
-    end
-  end
-[@@sl.zero_alloc]
-
-(* Heapsort the first [n] finished entries into resume order: in place
-   and allocation-free (lockstep workloads finish several jobs at once
-   on most completions), and O(n log n) (a boot storm finishes hundreds
-   on one core at once). *)
-let sort_finished t n =
-  for i = (n / 2) - 1 downto 0 do
-    sift_finished t i n
-  done;
-  for last = n - 1 downto 1 do
-    swap_finished t 0 last;
-    sift_finished t 0 last
-  done
 [@@sl.zero_alloc]
 
 (* Deliver service for the time elapsed since the last update, completing
@@ -408,59 +334,28 @@ let advance t =
     collect_active t;
     compute_rates t;
     let live_min = ref infinity in
-    let nfinished = ref 0 in
-    let last_finished = ref (-1) in
     for i = t.scount - 1 downto 0 do
       let slot = t.sslot.(i) in
       let rem = t.j_rem.(slot) in
       let served = fmin rem (elapsed *. t.srate.(i)) in
       let left = rem -. served in
       t.j_rem.(slot) <- left;
-      if left > 1e-6 && left < !live_min then live_min := left
-      else if left <= 1e-6 then begin
-        incr nfinished;
-        last_finished := slot
-      end;
       t.fl.(f_busy) <- t.fl.(f_busy) +. served;
       t.work.(t.j_kind.(slot)) <- t.work.(t.j_kind.(slot)) +. served;
-      bill t slot served
+      bill t slot served;
+      if left > 1e-6 then (if left < !live_min then live_min := left)
+      else begin
+        (* Finished: complete it here.  [Sim.wake] only queues the
+           parked process, so no model code runs inside this loop. *)
+        remove_job t slot;
+        complete t slot
+      end
     done;
     if t.frozen = 0 then begin
       t.fl.(f_min_rem) <- !live_min;
       t.min_valid <- !live_min < infinity
     end
-    else t.min_valid <- false;
-    (* Complete finished jobs.  Only jobs served just now can have crossed
-       the threshold (frozen jobs owe > 1e-6 by the invariant above), so
-       when the serve loop saw none there is nothing to scan for, and when
-       it saw exactly one — the steady-state shape: one completion event
-       per [execute] — that job completes directly.  Only a multi-finish
-       advance (boot storms, lockstep pools) sorts its finished jobs
-       into the order the original engine's [Hashtbl.fold] resumed them
-       in, so that event sequencing downstream matches the original
-       engine exactly. *)
-    if !nfinished = 1 then begin
-      let slot = !last_finished in
-      remove_job t slot;
-      complete t slot
-    end
-    else if !nfinished > 1 then begin
-      let k = ref 0 in
-      for i = 0 to t.scount - 1 do
-        let slot = t.sslot.(i) in
-        if t.j_rem.(slot) <= 1e-6 then begin
-          t.fslot.(!k) <- slot;
-          t.fbucket.(!k) <- Hashtbl.hash t.s_ptid.(slot) land (t.jbuckets - 1);
-          incr k
-        end
-      done;
-      sort_finished t !k;
-      for i = 0 to !k - 1 do
-        let slot = t.fslot.(i) in
-        remove_job t slot;
-        complete t slot
-      done
-    end
+    else t.min_valid <- false
   end
 [@@sl.zero_alloc]
 
@@ -622,9 +517,6 @@ let execute t ~ptid ~kind cycles =
     t.j_kind.(slot) <- kind_index kind;
     t.j_rem.(slot) <- rem;
     t.njobs <- t.njobs + 1;
-    t.j_stamp.(slot) <- t.next_stamp;
-    t.next_stamp <- t.next_stamp + 1;
-    if t.njobs > 2 * t.jbuckets then t.jbuckets <- 2 * t.jbuckets;
     reschedule t;
     t.j_proc.(slot) <- Sim.self t.sim;
     Sim.park ()
@@ -655,4 +547,8 @@ let thread_cycles t ~ptid =
 
 let billed_threads t =
   advance t;
-  Hashtbl.fold (fun ptid slot acc -> (ptid, t.b_cycles.(slot)) :: acc) t.border []
+  let acc = ref [] in
+  for s = t.nslots - 1 downto 0 do
+    if t.b_flag.(s) = 1 then acc := (t.s_ptid.(s), t.b_cycles.(s)) :: !acc
+  done;
+  !acc

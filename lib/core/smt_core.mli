@@ -44,7 +44,12 @@ val execute : t -> ptid:int -> kind:kind -> int -> unit
     of the ptid.  Blocks the calling process until done.  The ptid must be
     runnable when called; it may be paused and resumed while in flight.
     At most one in-flight [execute] per ptid.  [cycles = 0] returns
-    immediately. *)
+    immediately.
+
+    Calls whose work finishes in the same cycle all resume at that
+    cycle, in the order the core's service pass reaches them: fixed by
+    the history of admissions and removals, so identical runs resume
+    them identically.  Completing allocates nothing. *)
 
 val runnable_count : t -> int
 (** Threads currently admitted to the sharing set. *)
@@ -65,5 +70,7 @@ val thread_cycles : t -> ptid:int -> float
     never ran here. *)
 
 val billed_threads : t -> (int * float) list
-(** All (ptid, cycles) pairs with non-zero consumption, unordered. *)
+(** All (ptid, cycles) pairs of threads served here, in the order each
+    ptid was first seen by this core.  The cycles sum to
+    {!busy_capacity_cycles}. *)
 

@@ -45,6 +45,9 @@ let run ?(pool = 256) ?runnable_limit ~mode (cfg : Server.config) =
     (fun w ->
       let th = Chip.add_thread chip ~core:0 ~ptid:w.ptid ~mode:Ptid.User () in
       Chip.attach th (fun th ->
+          (* Workers park in mwait between requests by design: not
+             deadlock suspects. *)
+          Sim.set_daemon true;
           Isa.monitor th w.doorbell;
           (* Announce availability only once the monitor is armed: a
              doorbell rung before MONITOR executes is architecturally
@@ -79,34 +82,39 @@ let run ?(pool = 256) ?runnable_limit ~mode (cfg : Server.config) =
          request would never complete. *)
       let free = Queue.create () in
       let active = ref [] in
+      let nactive = ref 0 in
+      let activate w =
+        active := w :: !active;
+        incr nactive
+      in
+      let deactivate w =
+        active := List.filter (fun x -> x != w) !active;
+        decr nactive
+      in
       let admit_one () =
-        match Queue.take_opt queue with
+        match Queue.peek_opt queue with
         | None -> false
         | Some (`Fresh req) -> (
           match Queue.take_opt free with
-          | None ->
-            (* Pool exhausted: put the request back and wait. *)
-            let rest = Queue.copy queue in
-            Queue.clear queue;
-            Queue.push (`Fresh req) queue;
-            Queue.transfer rest queue;
-            false
+          | None -> false  (* Pool exhausted: the request waits at the head. *)
           | Some w ->
+            ignore (Queue.take queue);
             Isa.exec th ~kind:Smt_core.Overhead decision_cycles;
             w.req <- Some req;
             w.admitted_at <- Sim.now ();
-            active := w :: !active;
+            activate w;
             Isa.store th w.doorbell 1L;
             true)
         | Some (`Resumed w) ->
+          ignore (Queue.take queue);
           Isa.exec th ~kind:Smt_core.Overhead decision_cycles;
           w.admitted_at <- Sim.now ();
-          active := w :: !active;
+          activate w;
           Isa.start th ~vtid:w.ptid;
           true
       in
       let rec admit_all () =
-        if List.length !active < limit && admit_one () then admit_all ()
+        if !nactive < limit && admit_one () then admit_all ()
       in
       let preempt_longest_running () =
         if not (Queue.is_empty queue) then begin
@@ -133,7 +141,7 @@ let run ?(pool = 256) ?runnable_limit ~mode (cfg : Server.config) =
             | Some (w, _) ->
               Isa.exec th ~kind:Smt_core.Overhead decision_cycles;
               Isa.stop th ~vtid:w.ptid;
-              active := List.filter (fun x -> x != w) !active;
+              deactivate w;
               Queue.push (`Resumed w) queue)
         end
       in
@@ -148,7 +156,7 @@ let run ?(pool = 256) ?runnable_limit ~mode (cfg : Server.config) =
           admit_all ();
           loop ()
         | Done w ->
-          active := List.filter (fun x -> x != w) !active;
+          deactivate w;
           Queue.push w free;
           admit_all ();
           if not !finished then loop ()

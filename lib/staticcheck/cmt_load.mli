@@ -11,6 +11,7 @@
 type unit_ = {
   source : string;  (** e.g. [lib/dist/server.ml], as recorded in the cmt *)
   structure : Typedtree.structure;
+  has_interface : bool;  (** a [.cmti] sits beside the [.cmt]: the unit has an [.mli] *)
 }
 
 val load_roots : string list -> unit_ list

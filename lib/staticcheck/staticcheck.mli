@@ -1,20 +1,25 @@
-(** The typed static layer: four protocol-aware rules over the [.cmt]
-    typedtrees dune already produces, surfaced as [switchless-sim
-    check].
+(** The static layer: rules over the [.cmt] typedtrees dune already
+    produces, surfaced as [switchless-sim check].
 
     - [park-before-arm] / [register-before-arm] — {!Protocol}: the
       monitor/mwait boot-window protocol.
     - [domain-safety] — {!Domain_safety}: top-level mutable state must
       be [Atomic.t] or [Domain.DLS].
-    - [determinism] / [no-print] / [no-blanket-catch] — {!Purity}: the
-      token lint's hygiene rules on resolved identifiers.
+    - [determinism] / [no-print] / [no-blanket-catch] — {!Purity}:
+      hygiene rules on resolved identifiers.
     - [zero-alloc] — {!Zero_alloc}: the [\[@@sl.zero_alloc\]] hot-path
       allocation budget.
+    - [missing-mli] — {!missing_mli}: every library module has an
+      interface.
 
     Findings dedupe per static site and flow through
     {!Sl_analysis.Report} (see {!Site.to_report}); deliberate
     exceptions live in a committed allowlist ([staticcheck.allow]),
     one justified line each. *)
+
+val missing_mli : Cmt_load.unit_ -> Site.t list
+(** One finding (binding ["-"]) when the unit was compiled without an
+    [.mli]. *)
 
 val scan : string list -> Site.t list
 (** Raw findings over the build trees of the given source roots,

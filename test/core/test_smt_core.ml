@@ -215,17 +215,14 @@ let test_superseded_completion_moves_clock () =
       check_i64 "final clock set by the superseded event" 200 (Sim.time sim);
       check_i64 "B is left parked" 1 (List.length (Sim.stuck sim)))
 
-(* Jobs that finish in the same instant resume in the order the original
-   engine's [(ptid, job) Hashtbl.fold] gave them.  Each round starts a
-   batch of jobs at once on a core wide enough to run them all at rate
-   1, on sparse ptids (bucket collisions), with 10, 20 or 30 cycles, so
-   each group finishes together while the longer ones are still in
-   flight; rounds of up to 300 jobs grow the table past 128 and 256
-   entries.  The model replays every insert and remove on a real,
-   unrandomized [Hashtbl] and reads each group's order off its fold. *)
-let prop_simultaneous_completion_order =
-  QCheck.Test.make ~name:"simultaneous completions resume in legacy Hashtbl order"
-    ~count:40
+(* Jobs that finish in the same instant each resume exactly once, at
+   that instant, in an order identical runs reproduce; billing accounts
+   for every cycle served.  Each round starts a batch of jobs at once on
+   a core wide enough to run them all at rate 1, on sparse ptids, with
+   10, 20 or 30 cycles, so each group finishes together while the longer
+   ones are still in flight. *)
+let prop_simultaneous_completions =
+  QCheck.Test.make ~name:"simultaneous completions resume once" ~count:40
     QCheck.(
       list_of_size Gen.(1 -- 4)
         (list_of_size Gen.(1 -- 300) (pair (int_bound 400) (int_range 1 3))))
@@ -234,19 +231,11 @@ let prop_simultaneous_completion_order =
       let rounds =
         List.map
           (fun jobs ->
-            let seen = Hashtbl.create 64 in
-            List.filter_map
-              (fun (i, c) ->
-                let p = ptid i in
-                if Hashtbl.mem seen p then None
-                else begin
-                  Hashtbl.replace seen p ();
-                  Some (p, 10 * c)
-                end)
-              jobs)
+            List.sort_uniq (fun (a, _) (b, _) -> compare a b)
+              (List.map (fun (i, c) -> (ptid i, 10 * c)) jobs))
           rounds
       in
-      let resumed =
+      let run () =
         with_core ~smt_width:1024 (fun sim core ->
             let log = ref [] in
             List.iteri
@@ -257,34 +246,30 @@ let prop_simultaneous_completion_order =
                         Sim.delay (r * 1000);
                         Smt_core.set_runnable core ~ptid ~weight:1.0 true;
                         Smt_core.execute core ~ptid ~kind:Smt_core.Useful cycles;
-                        log := ptid :: !log))
+                        log := (ptid, Sim.now ()) :: !log))
                   jobs)
               rounds;
             Sim.run sim;
-            List.rev !log)
+            let billed =
+              List.fold_left (fun acc (_, c) -> acc +. c) 0.0
+                (Smt_core.billed_threads core)
+            in
+            (List.rev !log, billed, Smt_core.busy_capacity_cycles core))
       in
-      let tbl = Hashtbl.create ~random:false 64 in
-      let expected =
-        List.concat_map
-          (fun jobs ->
-            List.iter (fun (p, _) -> Hashtbl.replace tbl p ()) jobs;
-            List.concat_map
-              (fun cycles ->
-                let group = List.filter (fun (_, c) -> c = cycles) jobs in
-                let order =
-                  Hashtbl.fold
-                    (fun p () acc -> if List.mem_assoc p group then p :: acc else acc)
-                    tbl []
-                in
-                List.iter (fun (p, _) -> Hashtbl.remove tbl p) group;
-                order)
-              [ 10; 20; 30 ])
-          rounds
+      let resumed, billed, busy = run () in
+      let replayed, _, _ = run () in
+      let due =
+        List.concat
+          (List.mapi
+             (fun r jobs -> List.map (fun (p, c) -> (p, (r * 1000) + c)) jobs)
+             rounds)
       in
-      resumed = expected)
+      List.sort compare resumed = List.sort compare due
+      && resumed = replayed
+      && Float.abs (billed -. busy) <= 1e-6 *. Float.max 1.0 busy)
 
 let () =
-  let qsuite = List.map QCheck_alcotest.to_alcotest [ prop_work_conservation; prop_simultaneous_completion_order ] in
+  let qsuite = List.map QCheck_alcotest.to_alcotest [ prop_work_conservation; prop_simultaneous_completions ] in
   Alcotest.run "smt_core"
     [
       ( "rates",

@@ -392,82 +392,6 @@ let test_semaphore_try_acquire () =
   Semaphore.release sem;
   check_int "available" 1 (Semaphore.available sem)
 
-(* --- Trace --- *)
-
-let test_trace_records_with_timestamps () =
-  let sim = Sim.create () in
-  let trace = Sl_engine.Trace.create () in
-  Sim.spawn sim (fun () ->
-      Sl_engine.Trace.record trace sim "begin";
-      Sim.delay 10;
-      Sl_engine.Trace.recordf trace sim "at %d" 10);
-  Sim.run sim;
-  Alcotest.(check (list (pair int string)))
-    "events"
-    [ (0, "begin"); (10, "at 10") ]
-    (Sl_engine.Trace.events trace);
-  check_int "length" 2 (Sl_engine.Trace.length trace)
-
-let test_trace_ring_overwrites_oldest () =
-  let sim = Sim.create () in
-  let trace = Sl_engine.Trace.create ~capacity:3 () in
-  for i = 1 to 5 do
-    Sl_engine.Trace.record trace sim (string_of_int i)
-  done;
-  Alcotest.(check (list string))
-    "keeps newest three"
-    [ "3"; "4"; "5" ]
-    (List.map snd (Sl_engine.Trace.events trace));
-  check_int "total" 5 (Sl_engine.Trace.total_recorded trace);
-  Sl_engine.Trace.clear trace;
-  check_int "cleared" 0 (Sl_engine.Trace.length trace)
-
-let test_trace_wraparound_boundary () =
-  let sim = Sim.create () in
-  let trace = Sl_engine.Trace.create ~capacity:4 () in
-  for i = 1 to 4 do
-    Sl_engine.Trace.record trace sim (string_of_int i)
-  done;
-  (* Exactly at capacity: nothing lost yet. *)
-  check_int "length at capacity" 4 (Sl_engine.Trace.length trace);
-  check_int "total at capacity" 4 (Sl_engine.Trace.total_recorded trace);
-  Alcotest.(check (list string))
-    "all retained" [ "1"; "2"; "3"; "4" ]
-    (List.map snd (Sl_engine.Trace.events trace));
-  (* One past capacity: the oldest falls off, total keeps counting. *)
-  Sl_engine.Trace.record trace sim "5";
-  check_int "length past capacity" 4 (Sl_engine.Trace.length trace);
-  check_int "total past capacity" 5 (Sl_engine.Trace.total_recorded trace);
-  Alcotest.(check (list string))
-    "oldest dropped" [ "2"; "3"; "4"; "5" ]
-    (List.map snd (Sl_engine.Trace.events trace))
-
-let test_trace_wraparound_many_laps () =
-  let sim = Sim.create () in
-  let trace = Sl_engine.Trace.create ~capacity:4 () in
-  for i = 1 to 11 do
-    Sl_engine.Trace.record trace sim (string_of_int i)
-  done;
-  check_int "length" 4 (Sl_engine.Trace.length trace);
-  check_int "total" 11 (Sl_engine.Trace.total_recorded trace);
-  Alcotest.(check (list string))
-    "newest four in order" [ "8"; "9"; "10"; "11" ]
-    (List.map snd (Sl_engine.Trace.events trace))
-
-let test_trace_clear_resets_wraparound () =
-  let sim = Sim.create () in
-  let trace = Sl_engine.Trace.create ~capacity:3 () in
-  for i = 1 to 7 do
-    Sl_engine.Trace.record trace sim (string_of_int i)
-  done;
-  Sl_engine.Trace.clear trace;
-  check_int "cleared length" 0 (Sl_engine.Trace.length trace);
-  check_int "cleared total" 0 (Sl_engine.Trace.total_recorded trace);
-  Sl_engine.Trace.record trace sim "fresh";
-  Alcotest.(check (list string))
-    "usable after clear" [ "fresh" ]
-    (List.map snd (Sl_engine.Trace.events trace))
-
 (* --- Sim.stuck --- *)
 
 let test_stuck_reports_abandoned_process () =
@@ -880,14 +804,6 @@ let () =
           Alcotest.test_case "mutual exclusion" `Quick test_semaphore_mutual_exclusion;
           Alcotest.test_case "fifo wakeup" `Quick test_semaphore_fifo_wakeup;
           Alcotest.test_case "try_acquire" `Quick test_semaphore_try_acquire;
-        ] );
-      ( "trace",
-        [
-          Alcotest.test_case "timestamps" `Quick test_trace_records_with_timestamps;
-          Alcotest.test_case "ring overwrite" `Quick test_trace_ring_overwrites_oldest;
-          Alcotest.test_case "wraparound boundary" `Quick test_trace_wraparound_boundary;
-          Alcotest.test_case "wraparound many laps" `Quick test_trace_wraparound_many_laps;
-          Alcotest.test_case "clear resets" `Quick test_trace_clear_resets_wraparound;
         ] );
       ( "stuck",
         [

@@ -105,6 +105,17 @@ let test_zero_alloc_silent_on_clean_and_unannotated () =
   Alcotest.check pairs "int ops pass; unannotated allocations ignored" []
     (findings Sc.Zero_alloc.check "zeroalloc_good.ml")
 
+(* --- missing-mli ---------------------------------------------------------- *)
+
+let test_missing_mli () =
+  let rules basename =
+    Sc.Staticcheck.missing_mli (unit_for basename)
+    |> List.map (fun s -> (s.Sc.Site.rule, s.Sc.Site.ident))
+  in
+  Alcotest.check pairs "unit without an interface" [ ("missing-mli", "-") ]
+    (rules "mli_missing.ml");
+  Alcotest.check pairs "unit with an interface" [] (rules "mli_paired.ml")
+
 (* --- spath ---------------------------------------------------------------- *)
 
 let test_spath_matching () =
@@ -218,6 +229,8 @@ let () =
           Alcotest.test_case "clean and unannotated silent" `Quick
             test_zero_alloc_silent_on_clean_and_unannotated;
         ] );
+      (* The rule the [@lint] alias gates on. *)
+      ("lint", [ Alcotest.test_case "missing mli" `Quick test_missing_mli ]);
       ( "spath",
         [ Alcotest.test_case "suffix matching" `Quick test_spath_matching ] );
       ( "allowlist",
